@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Cache/pool knobs alone (no storage/shards/kernel-tier): the
+    # Cache/pool knobs alone (no storage/shards): the
     # spec-driven commands take those axes from the spec itself.
     cache_flags = argparse.ArgumentParser(add_help=False)
     cache_flags.add_argument(
@@ -133,16 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="destination-contiguous shards for the Scatter phase; "
         "results are byte-identical to --shards 1 (default: 1)",
-    )
-    sharding_flags.add_argument(
-        "--kernel-tier",
-        choices=("auto", "scalar", "vectorized", "compiled"),
-        default="auto",
-        help="kernel tier for the hot loops: 'scalar' (pure-Python "
-        "references), 'vectorized' (numpy closed forms), 'compiled' "
-        "(native numba/cffi kernels; falls back to vectorized with a "
-        "warning when unavailable); 'auto' picks the best available. "
-        "Results are byte-identical across tiers (default: auto)",
     )
     service_flags = argparse.ArgumentParser(
         add_help=False, parents=[cache_flags, sharding_flags]
@@ -587,7 +577,6 @@ def _suite_from_args(args: argparse.Namespace) -> ExperimentSuite:
         executor=args.executor,
         storage=args.storage,
         shards=args.shards,
-        kernel_tier=args.kernel_tier,
     )
 
 
@@ -617,13 +606,12 @@ def _profiled(fn: Callable[[], int]) -> int:
 
 
 def _cmd_run_body(args: argparse.Namespace) -> int:
-    from .kernels.tiers import use_tier
     from .obs import NULL_RECORDER, TraceRecorder, use_recorder
 
     graph = datasets.load(args.graph, storage=args.storage)
     backend = backends.create(args.system)
     recorder = TraceRecorder() if args.obs else NULL_RECORDER
-    with use_recorder(recorder), use_tier(args.kernel_tier) as kernel_tier:
+    with use_recorder(recorder):
         result, report = backend.run(
             graph,
             get_algorithm(args.algo),
@@ -644,7 +632,6 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
                 ["graph", f"{args.graph} (V={graph.num_vertices:,}, E={graph.num_edges:,})"],
                 ["iterations", report.iterations],
                 ["converged", result.converged],
-                ["kernel tier", kernel_tier],
                 ["modeled cycles", f"{report.cycles:,.0f}"],
                 ["time (us)", f"{report.seconds * 1e6:.1f}"],
                 ["GTEPS", f"{report.gteps:.2f}"],
@@ -663,13 +650,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import TraceRecorder, use_recorder
     from .obs.export import stats_rows, to_jsonl, write_chrome_trace
 
-    from .kernels.tiers import use_tier
-
     spec = get_algorithm(args.algo)  # raises on unknown, case-insensitive
     graph = datasets.load(args.graph, storage=args.storage)
     backend = backends.create(args.system)
     recorder = TraceRecorder()
-    with use_recorder(recorder), use_tier(args.kernel_tier):
+    with use_recorder(recorder):
         result, report = backend.run(
             graph, spec, source=args.source, shards=args.shards
         )
@@ -803,7 +788,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         executor=args.executor,
         storage=args.storage,
         shards=args.shards,
-        kernel_tier=args.kernel_tier,
         resilience=RetryPolicy(
             max_attempts=max(args.retries, 1),
             backoff_base=args.backoff,
@@ -888,7 +872,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         storage=args.storage,
         shards=args.shards,
-        kernel_tier=args.kernel_tier,
         retries=args.retries,
         cell_timeout=args.cell_timeout,
         inject=tuple(args.inject),

@@ -72,19 +72,9 @@ def simulate_scatter_microarch(
             reference below); ``"vectorized"`` computes the bit-identical
             result through :func:`repro.kernels.
             simulate_scatter_microarch_vectorized`'s closed-form drain
-            schedule; ``"compiled"`` uses the same closed form but drains
-            any back-pressured stream through the native event loop of
-            the compiled kernel tier; ``"auto"`` (or ``None``) resolves
-            through :func:`repro.kernels.tiers.resolve_tier` (``scalar``
-            maps to the event reference).
+            schedule.
     """
-    if engine in (None, "auto"):
-        from ..kernels.tiers import resolve_tier
-
-        engine = {"scalar": "event", "vectorized": "vectorized", "compiled": "compiled"}[
-            resolve_tier(engine)
-        ]
-    if engine in ("vectorized", "compiled"):
+    if engine == "vectorized":
         from ..kernels.micro_drain import (
             simulate_scatter_microarch_vectorized,
         )
@@ -94,12 +84,10 @@ def simulate_scatter_microarch(
             config=config,
             ue_queue_depth=ue_queue_depth,
             max_cycles=max_cycles,
-            event_engine="compiled" if engine == "compiled" else "python",
         )
     if engine != "event":
         raise ValueError(
-            f"unknown engine {engine!r}; expected 'event', 'vectorized', "
-            f"'compiled' or 'auto'"
+            f"unknown engine {engine!r}; expected 'event' or 'vectorized'"
         )
     num_ues = config.num_ues
     n_simt = config.n_simt

@@ -53,15 +53,27 @@ class StreamRunResult:
 
 
 class GraphicionadoStreams:
-    """The baseline pipeline, stream by stream."""
+    """The baseline pipeline, stream by stream.
+
+    ``kernel`` picks the reduce engines' rendering: ``"scalar"`` replays
+    :class:`StallingReducePipeline` op by op (the reference), while
+    ``"vectorized"`` runs the bit-identical closed form of
+    :func:`repro.kernels.stalling_run`.
+    """
 
     def __init__(
         self,
         spec: AlgorithmSpec,
         config: GraphicionadoConfig = GRAPHICIONADO_CONFIG,
+        kernel: str = "vectorized",
     ) -> None:
+        if kernel not in ("scalar", "vectorized"):
+            raise ValueError(
+                f"unknown kernel {kernel!r}; expected 'scalar' or 'vectorized'"
+            )
         self.spec = spec
         self.config = config
+        self.kernel = kernel
 
     # ------------------------------------------------------------------
     def _walk_edge_list(
@@ -142,12 +154,6 @@ class GraphicionadoStreams:
                     edges_processed += 1
 
             # --- Reduce engines: stall-on-conflict pipelines ---
-            # Tier-routed: the scalar pipeline is the reference; the
-            # vectorized/compiled kernels are bit-identical (oracle-
-            # checked) renderings of the same recurrence + fold.
-            from ..kernels.tiers import active_tier
-
-            tier = active_tier()
             for ops in per_engine_ops:
                 if not ops:
                     continue
@@ -155,15 +161,13 @@ class GraphicionadoStreams:
                     addr: t_prop.get(addr, spec.reduce_op.identity)
                     for addr, _ in ops
                 }
-                if tier == "scalar":
+                if self.kernel == "scalar":
                     outcome = StallingReducePipeline(spec.reduce_op).run(ops, seeded)
                 else:
                     from ..kernels.reduce import split_ops, stalling_run
 
                     addrs, values = split_ops(ops)
-                    outcome = stalling_run(
-                        addrs, values, spec.reduce_op, vb=seeded, tier=tier
-                    )
+                    outcome = stalling_run(addrs, values, spec.reduce_op, vb=seeded)
                 stall_cycles += outcome.stall_cycles
                 t_prop.update(outcome.vb)
 

@@ -61,7 +61,6 @@ class ExperimentSuite:
         executor: str = "thread",
         storage: str = "memory",
         shards: int = 1,
-        kernel_tier: str = "auto",
         resilience: Optional[RetryPolicy] = None,
         faults: Optional[FaultInjector] = None,
         manifest_path: Optional[str] = None,
@@ -79,7 +78,6 @@ class ExperimentSuite:
             executor=executor,
             storage=storage,
             shards=shards,
-            kernel_tier=kernel_tier,
         )
         if (
             resilience is not None

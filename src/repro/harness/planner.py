@@ -206,7 +206,6 @@ def services_for_spec(
         executor=executor,
         storage=spec.storage,
         shards=spec.shards,
-        kernel_tier=spec.kernel_tier,
     )
     resilient = (
         resilience is not None

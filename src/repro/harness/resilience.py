@@ -357,7 +357,6 @@ def _resilient_cell_worker(
     max_attempts: int,
     storage: str = "memory",
     shards: int = 1,
-    kernel_tier: str = "auto",
 ) -> Tuple[CellResult, int]:
     """Process-pool entry point: fault hooks + retries inside the worker.
 
@@ -373,8 +372,7 @@ def _resilient_cell_worker(
             if plan is not None:
                 plan.fire(attempt, in_worker=True)
             cell = _cell_in_subprocess(
-                backends, algorithm, graph_key, source, storage, shards,
-                kernel_tier,
+                backends, algorithm, graph_key, source, storage, shards
             )
             return cell, attempt
         except FaultError:
@@ -716,7 +714,6 @@ class ResilientRunService(RunService):
                         self.policy.max_attempts,
                         request.storage,
                         request.shards,
-                        request.kernel_tier,
                     ),
                     algorithm,
                     graph_key,

@@ -77,7 +77,6 @@ from typing import (
 
 from ..graph import datasets
 from ..graph.storage import gc_stale_spills
-from ..kernels.tiers import compiled_provider_name, resolve_tier, warm_compile
 from ..obs import get_recorder
 from ..vcpm.algorithms import get_algorithm
 from .admission import AdmissionController, AdmissionDecision, executor_for_load
@@ -242,11 +241,6 @@ class DaemonConfig:
     jobs: int = 1
     storage: str = "memory"
     shards: int = 1
-    #: Kernel tier request for cell execution (``"auto"`` picks the best
-    #: available).  When the resolved tier is ``"compiled"`` the daemon
-    #: warm-compiles the native kernels at boot, so the first admitted
-    #: job never pays JIT/build latency.
-    kernel_tier: str = "auto"
     retries: int = 3
     cell_timeout: Optional[float] = None
     #: Retain at most this many finished results in memory.
@@ -301,19 +295,11 @@ class SimulationDaemon:
             executor=service_executor,
             storage=self.config.storage,
             shards=self.config.shards,
-            kernel_tier=self.config.kernel_tier,
             policy=RetryPolicy(
                 max_attempts=max(self.config.retries, 1),
                 timeout=self.config.cell_timeout,
             ),
             faults=self.faults,
-        )
-        # Warm-compile before accepting work: resolve the configured tier
-        # once, and when it lands on "compiled" force provider selection +
-        # native build/JIT now so the first admitted job never pays it.
-        self.kernel_tier: str = resolve_tier(self.config.kernel_tier)
-        self.warm_compile_s: Optional[float] = (
-            warm_compile() if self.kernel_tier == "compiled" else None
         )
         self.controller = AdmissionController(
             capacity=self.config.capacity,
@@ -544,11 +530,6 @@ class SimulationDaemon:
             return (
                 f"spec shards {spec.shards} != daemon shards "
                 f"{self.service.shards}"
-            )
-        if spec.kernel_tier not in ("auto", self.service.kernel_tier):
-            return (
-                f"spec kernel tier {spec.kernel_tier!r} != daemon tier "
-                f"{self.service.kernel_tier!r}"
             )
         return None
 
@@ -971,13 +952,6 @@ class SimulationDaemon:
             uptime_seconds=time.time() - self.started_at,
             spills_collected=len(self.spills_collected),
             cache=dataclasses.asdict(self.service.stats),
-            kernel_tier=self.kernel_tier,
-            kernel_provider=(
-                compiled_provider_name()
-                if self.kernel_tier == "compiled"
-                else None
-            ),
-            warm_compile_s=self.warm_compile_s,
         )
         return payload
 

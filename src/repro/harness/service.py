@@ -135,7 +135,6 @@ def _cell_in_subprocess(
     source: int,
     storage: str = "memory",
     shards: int = 1,
-    kernel_tier: str = "auto",
 ) -> "CellResult":
     """Worker entry point for ``executor="process"`` matrix fan-out.
 
@@ -156,7 +155,6 @@ def _cell_in_subprocess(
         source=source,
         backends=backends,
         shards=shards,
-        kernel_tier=kernel_tier,
     )
 
 
@@ -201,7 +199,6 @@ def execute_cell(
     shards: int = 1,
     shard_runner: Optional[ShardRunner] = None,
     graph_ref: Optional[Tuple[str, str]] = None,
-    kernel_tier: Optional[str] = None,
 ) -> CellResult:
     """Run all backends on one (graph, algorithm) pair.
 
@@ -213,46 +210,26 @@ def execute_cell(
     destination-sharded engine; observers still see the full merged
     iteration stream, so the resulting reports are byte-identical to the
     unsharded path.
-
-    ``kernel_tier`` scopes the kernel tier registry around the whole
-    cell (``None`` inherits the ambient/env selection): every tier-routed
-    seam inside -- reduce pipelines, drain engines, Algorithm 2 kernels
-    -- resolves against it, and the resolved tier is recorded on the
-    ambient recorder for attribution.  The tier never changes results,
-    only which bit-identical implementation computes them.
     """
-    from ..kernels.tiers import use_tier
-
     backends = list(backends) if backends is not None else default_backends()
     spec = get_algorithm(algorithm)
-    with use_tier(kernel_tier) as resolved_tier:
-        rec = get_recorder()
-        if rec.enabled:
-            rec.counter(f"kernels.tier.{resolved_tier}").add()
-            rec.event(
-                "kernels.tier",
-                track="service",
-                tier=resolved_tier,
-                algorithm=spec.name,
-                graph=graph_key or graph.name,
-            )
-        observers = {b.name: b.make_observer(graph, spec) for b in backends}
-        if shards > 1 or shard_runner is not None:
-            functional = run_vcpm_partitioned(
-                graph,
-                spec,
-                shards=shards,
-                source=source,
-                observers=list(observers.values()),
-                shard_runner=shard_runner,
-                graph_ref=graph_ref,
-            )
-        else:
-            functional = run_vcpm(
-                graph, spec, source=source, observers=list(observers.values())
-            )
-        reports = {b.name: b.report(observers[b.name]) for b in backends}
-        energy = {b.name: b.energy(reports[b.name]) for b in backends}
+    observers = {b.name: b.make_observer(graph, spec) for b in backends}
+    if shards > 1 or shard_runner is not None:
+        functional = run_vcpm_partitioned(
+            graph,
+            spec,
+            shards=shards,
+            source=source,
+            observers=list(observers.values()),
+            shard_runner=shard_runner,
+            graph_ref=graph_ref,
+        )
+    else:
+        functional = run_vcpm(
+            graph, spec, source=source, observers=list(observers.values())
+        )
+    reports = {b.name: b.report(observers[b.name]) for b in backends}
+    energy = {b.name: b.energy(reports[b.name]) for b in backends}
     return CellResult(
         algorithm=spec.name,
         graph_key=graph_key or graph.name,
@@ -278,14 +255,6 @@ class RunRequest:
     #: memory unsharded run wrote, and vice versa.
     storage: str = "memory"
     shards: int = 1
-    #: Kernel tier request (``auto``/``scalar``/``vectorized``/
-    #: ``compiled``) — execution strategy like ``storage``/``shards``:
-    #: every tier is bit-identical under the equivalence oracle, so the
-    #: tier is excluded from :meth:`cache_key` and compiled/interpreted
-    #: runs share cache entries.  The tier that actually executed is
-    #: recorded in the cache envelope's ``meta.kernel_tier`` for
-    #: attribution.
-    kernel_tier: str = "auto"
 
     def cache_key(self, dataset_fingerprint: str, package_version: str) -> str:
         """Content address of this request's result.
@@ -432,13 +401,6 @@ class RunService:
             ``executor="process"`` shards of a parent-side cell fan out
             across a process pool.  Results are byte-identical for every
             storage × shards combination.
-        kernel_tier: kernel tier request for cell execution —
-            ``"auto"`` (default; best available), ``"scalar"``,
-            ``"vectorized"`` or ``"compiled"``.  Execution strategy like
-            ``storage``/``shards``: bit-identical results, excluded from
-            cache keys.  Resolved at execution time (so process workers
-            resolve against their own environment), with warn-once
-            fallback when ``compiled`` has no provider.
     """
 
     def __init__(
@@ -453,7 +415,6 @@ class RunService:
         executor: str = "thread",
         storage: str = "memory",
         shards: int = 1,
-        kernel_tier: str = "auto",
     ) -> None:
         if executor not in ("thread", "process"):
             raise ValueError(
@@ -466,11 +427,6 @@ class RunService:
             )
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        from ..kernels.tiers import normalize_tier
-
-        # Validates eagerly (raises on unknown names); stored unresolved
-        # so "auto" re-resolves wherever the cell actually executes.
-        normalize_tier(kernel_tier)
         if backends is not None:
             self.backends: List[Backend] = list(backends)
         else:
@@ -478,7 +434,6 @@ class RunService:
         self.executor = executor
         self.storage = storage
         self.shards = int(shards)
-        self.kernel_tier = kernel_tier
         self.default_source = default_source
         self.cache_dir = (
             os.path.abspath(os.path.expanduser(cache_dir))
@@ -513,7 +468,6 @@ class RunService:
             source=self.default_source,
             storage=self.storage,
             shards=self.shards,
-            kernel_tier=self.kernel_tier,
         )
 
     def cache_key(self, request: RunRequest) -> str:
@@ -611,15 +565,10 @@ class RunService:
     def _store_cached(
         self, path: str, request: RunRequest, cell: CellResult
     ) -> None:
-        from ..kernels.tiers import resolve_tier
-
         envelope = {
             "schema": SCHEMA_VERSION,
             "key": self.cache_key(request),
             "request": dataclasses.asdict(request),
-            # Attribution, not identity: which bit-identical execution
-            # strategy produced this entry.  _load_cached ignores it.
-            "meta": {"kernel_tier": resolve_tier(request.kernel_tier)},
             "functional": _functional_to_dict(cell.functional),
             "reports": {
                 name: report_to_dict(report)
@@ -761,7 +710,6 @@ class RunService:
                 shards=request.shards,
                 shard_runner=runner,
                 graph_ref=graph_ref,
-                kernel_tier=request.kernel_tier,
             )
         finally:
             if cleanup is not None:
@@ -849,7 +797,6 @@ class RunService:
                         request.source,
                         request.storage,
                         request.shards,
-                        request.kernel_tier,
                     ),
                     key,
                     request,

@@ -89,10 +89,6 @@ __all__ = [
     "spec_to_yaml",
 ]
 
-#: Kernel tiers a spec may request (mirrors repro.kernels.tiers; kept as
-#: a literal so parsing a spec never imports the kernel stack).
-_KERNEL_TIERS = ("auto", "scalar", "vectorized", "compiled", "batched", "event")
-
 #: The default override name when a spec declares no overrides axis.
 BASE_OVERRIDE = "base"
 
@@ -643,7 +639,6 @@ class ExperimentSpec:
     source: int = 0
     storage: str = "memory"
     shards: int = 1
-    kernel_tier: str = "auto"
     priority: int = 0
 
     # -- expansion -----------------------------------------------------
@@ -706,7 +701,6 @@ _TOP_LEVEL_KEYS = (
     "source",
     "storage",
     "shards",
-    "kernel_tier",
     "priority",
 )
 
@@ -1133,14 +1127,6 @@ def spec_from_dict(
     _expect(ctx, ("shards",), shards, (int,), "a shard count")
     if int(shards) < 1:
         raise ctx.fail(("shards",), "shards must be >= 1")
-    kernel_tier = data.get("kernel_tier", "auto")
-    _expect(ctx, ("kernel_tier",), kernel_tier, (str,), "a kernel tier")
-    if kernel_tier not in _KERNEL_TIERS:
-        raise ctx.fail(
-            ("kernel_tier",),
-            f"unknown kernel tier {kernel_tier!r} (expected one of "
-            f"{_KERNEL_TIERS})",
-        )
     priority = data.get("priority", 0)
     _expect(ctx, ("priority",), priority, (int,), "an integer priority")
 
@@ -1159,7 +1145,6 @@ def spec_from_dict(
         source=int(source_vertex),
         storage=str(storage),
         shards=int(shards),
-        kernel_tier=str(kernel_tier),
         priority=int(priority),
     )
     if not spec.grid():
@@ -1216,8 +1201,6 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, object]:
         out["storage"] = spec.storage
     if spec.shards != 1:
         out["shards"] = spec.shards
-    if spec.kernel_tier != "auto":
-        out["kernel_tier"] = spec.kernel_tier
     if spec.priority:
         out["priority"] = spec.priority
     return out

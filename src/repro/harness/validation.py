@@ -10,9 +10,8 @@ The repository has five ways to execute a VCPM algorithm:
 
 They exist for different purposes (speed, fidelity, validation), but they
 must agree bit-for-bit on properties.  This module sweeps random graphs
-through all five -- plus the compiled rendering of Algorithm 2 whenever a
-native kernel provider is available -- and reports any divergence: the
-repository's self-check, exposed as ``python -m repro validate``.
+through all five and reports any divergence: the repository's
+self-check, exposed as ``python -m repro validate``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..graph.generators import power_law_graph, uniform_random_graph
 from ..graphdyns.accelerator import GraphDynS
-from ..kernels.tiers import compiled_available
 from ..vcpm.algorithms import ALGORITHMS
 from ..vcpm.engine import run_vcpm
 from ..vcpm.optimized import run_optimized
@@ -82,12 +80,6 @@ def validate_engines(
             source=source, max_iterations=max_iterations, **kwargs
         ).properties,
     }
-    if compiled_available():
-        candidates["compiled"] = run_optimized(
-            graph, spec, source=source, max_iterations=max_iterations,
-            kernel="compiled",
-            **({"pr_tolerance": 0.0} if "pr_tolerance" in kwargs else {}),
-        ).properties
     if include_component_level:
         candidates["component"] = GraphDynS().run_component_level(
             graph, spec, source=source, max_iterations=max_iterations

@@ -1,34 +1,30 @@
-"""Vectorized and compiled simulation kernels.
+"""Vectorized simulation kernels.
 
-Every timing-side hot path in the reproduction has up to three
-renderings, organized as the tier registry of :mod:`repro.kernels.tiers`
-(``scalar`` -> ``vectorized`` -> ``compiled``):
+Every timing-side hot path in the reproduction has two renderings:
 
 * a **retained scalar reference** that follows the paper's pseudocode or
   pipeline diagram cycle by cycle (``repro.core.reduce_pipeline``,
   ``repro.vcpm.optimized``, ``repro.graphdyns.micro``,
-  ``HBMModel.service_scalar``),
+  ``HBMModel.service_scalar``), and
 * a **vectorized kernel** in this package that computes the identical
   result with numpy array operations -- closed-form cycle models, grouped
-  ``ufunc.at`` folds, and batched pattern servicing, and
-* an optional **compiled kernel** (:mod:`repro.kernels.compiled`) running
-  the three remaining interpreter-bound loops -- the stalling reduce
-  recurrence, the exact Scatter drain event loop, and per-cell
-  Algorithm 2 iteration -- as native code (numba ``@njit`` or a cached
-  cffi/C extension), with warn-once graceful fallback when no native
-  provider exists.
+  ``ufunc.at`` folds, and batched pattern servicing.
 
-The contract is *bit-exact equivalence*: cycles, stalls, properties and
-queue occupancies from any kernel tier must equal the scalar rendering on
-every input (``tests/test_kernels_equivalence.py`` enforces this with
-property-based streams and graphs).  The kernels exist purely for speed
--- ``benchmarks/bench_kernels.py`` records the scalar/vectorized/compiled
-gaps in ``BENCH_kernels.json`` -- so paper-scale proxies stop being
-bounded by Python interpreter throughput.
+Each component model picks its rendering through a local argument
+(``GraphicionadoStreams(kernel=)``, ``run_optimized(kernel=)``,
+``simulate_scatter_microarch(engine=)``); there is no ambient or
+process-wide selection.  The contract is *bit-exact equivalence*:
+cycles, stalls, properties and queue occupancies from the vectorized
+kernel must equal the scalar rendering on every input
+(``tests/test_kernels_equivalence.py`` enforces this with property-based
+streams and graphs).  The kernels exist purely for speed --
+``benchmarks/bench_kernels.py`` records the scalar/vectorized gaps in
+``BENCH_kernels.json`` -- so paper-scale proxies stop being bounded by
+Python interpreter throughput.
 """
 
 from .hbm_batch import batch_cycles_sum, pattern_cycles_batch
-from .micro_drain import simulate_scatter_microarch_vectorized
+from .micro_drain import KernelFallbackWarning, simulate_scatter_microarch_vectorized
 from .reduce import (
     fold_ops,
     split_ops,
@@ -37,16 +33,6 @@ from .reduce import (
     zero_stall_run,
 )
 from .scatter_apply import run_optimized_batched
-from .tiers import (
-    TIERS,
-    KernelFallbackWarning,
-    active_tier,
-    compiled_available,
-    compiled_provider_name,
-    resolve_tier,
-    use_tier,
-    warm_compile,
-)
 
 __all__ = [
     "batch_cycles_sum",
@@ -58,12 +44,5 @@ __all__ = [
     "stalling_run",
     "zero_stall_run",
     "run_optimized_batched",
-    "TIERS",
     "KernelFallbackWarning",
-    "active_tier",
-    "compiled_available",
-    "compiled_provider_name",
-    "resolve_tier",
-    "use_tier",
-    "warm_compile",
 ]

@@ -26,14 +26,45 @@ never inspected, only lengths).  Either way the returned
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import threading
+import warnings
+from typing import List, Sequence, Set
 
 import numpy as np
 
 from ..graphdyns.config import DEFAULT_CONFIG, GraphDynSConfig
 from ..graphdyns.micro import MicroScatterResult
 
-__all__ = ["simulate_scatter_microarch_vectorized"]
+__all__ = ["KernelFallbackWarning", "simulate_scatter_microarch_vectorized"]
+
+
+class KernelFallbackWarning(RuntimeWarning):
+    """A closed-form kernel handed its input to the exact reference path.
+
+    Raised once per distinct cause per process when an input is outside
+    a kernel's supported envelope (FIFO back-pressure invalidating the
+    closed-form drain schedule).  Results are bit-identical either way;
+    the warning only flags that the fast path was not taken.
+    """
+
+
+_warn_lock = threading.Lock()
+_warned: Set[str] = set()
+
+
+def warn_fallback(key: str, message: str) -> None:
+    """Emit ``KernelFallbackWarning`` once per distinct ``key`` per process."""
+    with _warn_lock:
+        if key in _warned:
+            return
+        _warned.add(key)
+    warnings.warn(message, KernelFallbackWarning, stacklevel=3)
+
+
+def reset_fallback_warnings() -> None:
+    """Forget which fallbacks already warned (test isolation hook)."""
+    with _warn_lock:
+        _warned.clear()
 
 
 def _drain_closed_form(
@@ -117,18 +148,13 @@ def simulate_scatter_microarch_vectorized(
     config: GraphDynSConfig = DEFAULT_CONFIG,
     ue_queue_depth: int = 4,
     max_cycles: int = 10_000_000,
-    event_engine: str = "python",
 ) -> MicroScatterResult:
     """Vectorized, bit-identical ``simulate_scatter_microarch``.
 
-    ``event_engine`` selects the exact-replay implementation used when
-    back-pressure invalidates the closed-form schedule: ``"python"`` (the
-    loop below) or ``"compiled"`` (the native event loop of the compiled
-    kernel tier, falling back to Python with a warn-once
-    :class:`~repro.kernels.tiers.KernelFallbackWarning` when no provider
-    is available).  Taking the fallback at all is itself reported once
-    per process via the same warning type -- the closed form is the fast
-    path and silently losing it used to be invisible.
+    When back-pressure invalidates the closed-form schedule the stream is
+    replayed through the exact event loop, and that fallback is reported
+    once per process as a :class:`KernelFallbackWarning` -- the closed
+    form is the fast path and silently losing it used to be invisible.
     """
     num_ues = config.num_ues
     n_simt = config.n_simt
@@ -156,28 +182,13 @@ def simulate_scatter_microarch_vectorized(
             backpressure_events=0,
             max_ue_queue_occupancy=max_occupancy,
         )
-    from .tiers import warn_fallback
-
     warn_fallback(
         "micro_drain:closed-form-invalid",
         "Scatter micro-model: FIFO back-pressure invalidated the "
         "closed-form drain schedule; replaying the stream through the "
         "exact event loop instead. Results are identical; only the "
-        "performance tier changed.",
+        "fast path was skipped.",
     )
-    if event_engine == "compiled":
-        from . import compiled as _compiled
-
-        if _compiled.get_provider() is not None:
-            return _compiled.micro_drain_compiled(
-                streams, num_ues, n_simt, ue_queue_depth, max_cycles
-            )
-        warn_fallback(
-            "micro_drain:compiled-unavailable",
-            "compiled micro-drain event loop requested but no native "
-            "provider is available; using the Python event loop. "
-            "Results are identical.",
-        )
     offsets = np.cumsum([0] + [s.size for s in streams])
     ue_streams = [
         ue[offsets[i]:offsets[i + 1]].tolist() for i in range(len(streams))

@@ -95,44 +95,19 @@ def fold_ops(
     return out
 
 
-def _compiled_or_none(tier: Optional[str]):
-    """Resolve a tier request to the compiled module, or None for vectorized.
-
-    ``tier=None`` keeps the historical behavior of these functions (they
-    *are* the vectorized tier); ``"compiled"``/``"auto"`` route through
-    the registry with its warn-once fallback.
-    """
-    if tier is None or tier == "vectorized":
-        return None
-    from .tiers import resolve_tier
-
-    if resolve_tier(tier) != "compiled":
-        return None
-    from . import compiled as _compiled
-
-    return _compiled if _compiled.get_provider() is not None else None
-
-
 def zero_stall_run(
     addrs: np.ndarray,
     values: np.ndarray,
     reduce_op: ReduceOp,
     vb: Optional[Dict[int, float]] = None,
     identity: Optional[float] = None,
-    tier: Optional[str] = None,
 ) -> ReduceResult:
     """Vectorized :meth:`ZeroStallReducePipeline.run`.
 
     The forwarding paths make the pipeline sequentially consistent and
     stall-free, so the closed form is immediate: ``n + DEPTH - 1``
-    cycles and the sequential fold as the VB outcome.  ``tier="compiled"``
-    replaces the grouped fold with the native single-pass kernel.
+    cycles and the sequential fold as the VB outcome.
     """
-    compiled = _compiled_or_none(tier)
-    if compiled is not None:
-        return compiled.zero_stall_run_compiled(
-            np.asarray(addrs), np.asarray(values), reduce_op, vb=vb, identity=identity
-        )
     n = int(np.asarray(addrs).size)
     total_cycles = n + ZeroStallReducePipeline.DEPTH - 1 if n else 0
     return ReduceResult(
@@ -185,19 +160,8 @@ def stalling_run(
     reduce_op: ReduceOp,
     vb: Optional[Dict[int, float]] = None,
     identity: Optional[float] = None,
-    tier: Optional[str] = None,
 ) -> ReduceResult:
-    """Vectorized :meth:`StallingReducePipeline.run`.
-
-    ``tier="compiled"`` runs the whole pass (bubble recurrence + fold) as
-    one native O(n) loop with no address sort -- the big win at paper
-    scale, where ``np.unique`` dominates this function's profile.
-    """
-    compiled = _compiled_or_none(tier)
-    if compiled is not None:
-        return compiled.stalling_run_compiled(
-            np.asarray(addrs), np.asarray(values), reduce_op, vb=vb, identity=identity
-        )
+    """Vectorized :meth:`StallingReducePipeline.run`."""
     cycles, stalls = stalling_cycle_model(addrs)
     return ReduceResult(
         cycles=cycles,

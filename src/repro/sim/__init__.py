@@ -1,17 +1,9 @@
-"""Discrete-event simulation kernel for the hardware micro-models."""
+"""Queue and port primitives for the hardware micro-models."""
 
-from .clock import Clock
-from .engine import Event, EventEngine
 from .port import Port
 from .queues import BoundedQueue, DoubleBuffer, QueueEmptyError, QueueFullError
-from .trace import ActivityTrace, TraceEvent
 
 __all__ = [
-    "ActivityTrace",
-    "TraceEvent",
-    "Clock",
-    "Event",
-    "EventEngine",
     "Port",
     "BoundedQueue",
     "DoubleBuffer",

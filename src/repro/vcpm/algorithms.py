@@ -91,8 +91,6 @@ BFS = AlgorithmSpec(
     apply=_min_apply,
     initial_prop=_source_init(float("inf"), 0.0),
     uses_weights=False,
-    process_edge_kind="add_one",
-    apply_kind="min",
 )
 
 SSSP = AlgorithmSpec(
@@ -101,8 +99,6 @@ SSSP = AlgorithmSpec(
     reduce_op=ReduceOp.MIN,
     apply=_min_apply,
     initial_prop=_source_init(float("inf"), 0.0),
-    process_edge_kind="add_weight",
-    apply_kind="min",
 )
 
 CC = AlgorithmSpec(
@@ -114,8 +110,6 @@ CC = AlgorithmSpec(
     uses_weights=False,
     all_vertices_active_initially=True,
     needs_source=False,
-    process_edge_kind="copy",
-    apply_kind="min",
 )
 
 SSWP = AlgorithmSpec(
@@ -124,8 +118,6 @@ SSWP = AlgorithmSpec(
     reduce_op=ReduceOp.MAX,
     apply=_max_apply,
     initial_prop=_source_init(0.0, float("inf")),
-    process_edge_kind="min_weight",
-    apply_kind="max",
 )
 
 PAGERANK = AlgorithmSpec(
@@ -139,8 +131,6 @@ PAGERANK = AlgorithmSpec(
     all_vertices_active_initially=True,
     needs_source=False,
     default_max_iterations=10,
-    process_edge_kind="copy",
-    apply_kind="pagerank",
 )
 
 ALGORITHMS: Dict[str, AlgorithmSpec] = {

@@ -115,41 +115,9 @@ def run_optimized(
     ``kernel="batched"`` (alias ``"vectorized"``) routes through
     :func:`repro.kernels.run_optimized_batched`, whose array rendering of
     the same stages is bit-identical (asserted in tests) and orders of
-    magnitude faster on proxy-scale graphs.  ``kernel="compiled"`` runs
-    the Scatter/Apply processing stages as native code
-    (:func:`repro.kernels.compiled.run_optimized_compiled`), falling back
-    to the batched kernel with a single
-    :class:`~repro.kernels.tiers.KernelFallbackWarning` when no native
-    provider is available or the spec lacks opcode metadata.
-    ``kernel="auto"`` (or ``None``) resolves through the tier registry
-    (ambient :func:`~repro.kernels.tiers.use_tier` scope, then
-    ``$REPRO_KERNEL_TIER``, then best-available).
+    magnitude faster on proxy-scale graphs.
     """
-    from ..kernels.tiers import resolve_tier, warn_fallback
-
-    if kernel in (None, "auto", "vectorized", "compiled"):
-        tier = resolve_tier(kernel)
-        kernel = {"scalar": "scalar", "vectorized": "batched", "compiled": "compiled"}[tier]
-    if kernel == "compiled":
-        from ..kernels import compiled as _compiled
-
-        if _compiled.get_provider() is not None and _compiled.alg2_supported(spec):
-            return _compiled.run_optimized_compiled(
-                graph,
-                spec,
-                source=source,
-                max_iterations=max_iterations,
-                v_list_size=v_list_size,
-                pr_tolerance=pr_tolerance,
-            )
-        warn_fallback(
-            "alg2:compiled-unsupported:{}".format(spec.name),
-            "compiled Algorithm 2 kernel unavailable for spec {!r} "
-            "(missing native provider or opcode metadata); falling back "
-            "to the batched kernel. Results are identical.".format(spec.name),
-        )
-        kernel = "batched"
-    if kernel == "batched":
+    if kernel in ("batched", "vectorized"):
         from ..kernels.scatter_apply import run_optimized_batched
 
         return run_optimized_batched(
@@ -162,8 +130,8 @@ def run_optimized(
         )
     if kernel != "scalar":
         raise ValueError(
-            f"unknown kernel {kernel!r}; expected 'scalar', 'batched', "
-            f"'vectorized', 'compiled' or 'auto'"
+            f"unknown kernel {kernel!r}; expected 'scalar', 'batched' or "
+            f"'vectorized'"
         )
     num_vertices = graph.num_vertices
     if max_iterations is None:

@@ -35,7 +35,6 @@ from ..graph.slicing import (
     plan_partitions,
     plan_slices,
 )
-from ..kernels.tiers import active_tier as _active_tier
 from ..obs import get_recorder
 from .engine import (
     IterationData,
@@ -78,10 +77,6 @@ class ShardScatterTask:
         vb_capacity_bytes: optional Vertex Buffer capacity for shard-local
             slicing; ``None`` disables VB slicing.
         tprop_bytes: bytes per temporary property entry.
-        kernel_tier: concrete kernel tier the shard should execute under
-            (captured from the parent's ambient tier at task creation so
-            process workers inherit the request's tier instead of
-            re-deriving it from their own environment).
     """
 
     iteration: int
@@ -95,7 +90,6 @@ class ShardScatterTask:
     t_prop_segment: np.ndarray
     vb_capacity_bytes: Optional[int] = None
     tprop_bytes: int = 4
-    kernel_tier: Optional[str] = None
 
 
 #: Maps shard tasks to their reduced segments, in task order.
@@ -145,17 +139,8 @@ def scatter_shard_task(task: ShardScatterTask, graph: CSRGraph) -> np.ndarray:
 
     The worker-side entry point: re-gathers the active edge stream from
     the (typically mmap-backed) graph and reduces the shard's edges into
-    the task's segment copy.  Pure — no shared mutable state.  Runs under
-    the task's captured kernel tier so worker processes inherit the
-    parent request's tier selection.
+    the task's segment copy.  Pure — no shared mutable state.
     """
-    from ..kernels.tiers import use_tier
-
-    with use_tier(task.kernel_tier):
-        return _scatter_shard_task_body(task, graph)
-
-
-def _scatter_shard_task_body(task: ShardScatterTask, graph: CSRGraph) -> np.ndarray:
     from .algorithms import get_algorithm
 
     spec = get_algorithm(task.algorithm)
@@ -316,7 +301,6 @@ def run_vcpm_partitioned(
                             ].copy(),
                             vb_capacity_bytes=vb_capacity_bytes,
                             tprop_bytes=tprop_bytes,
-                            kernel_tier=_active_tier(),
                         )
                         for shard in plan
                     ]

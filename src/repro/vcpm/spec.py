@@ -94,13 +94,6 @@ class AlgorithmSpec:
             accumulator restarts every iteration.
         needs_source: whether a source/root vertex is meaningful.
         default_max_iterations: safety bound on iterations.
-        process_edge_kind: opcode name for the compiled kernel tier
-            (``"add_one"``/``"add_weight"``/``"copy"``/``"min_weight"``);
-            ``None`` means the spec's ``process_edge`` is a free-form
-            callable the native loops cannot represent, so the compiled
-            tier falls back (warn-once) to the batched kernel.
-        apply_kind: opcode name for the compiled Apply
-            (``"min"``/``"max"``/``"pagerank"``); same fallback contract.
     """
 
     name: str
@@ -113,8 +106,6 @@ class AlgorithmSpec:
     all_vertices_active_initially: bool = False
     needs_source: bool = True
     default_max_iterations: int = 1000
-    process_edge_kind: Optional[str] = None
-    apply_kind: Optional[str] = None
 
     @property
     def resets_tprop_each_iteration(self) -> bool:

@@ -13,7 +13,7 @@ from repro.graph import (
 
 @pytest.fixture(autouse=True)
 def _reset_kernel_fallback_warnings():
-    """Reset the kernel tier's warn-once latch between tests.
+    """Reset the kernel fallback warn-once latch between tests.
 
     The latch is process-wide state: without this reset, whether a test
     sees a ``KernelFallbackWarning`` depends on which test triggered the
@@ -21,7 +21,7 @@ def _reset_kernel_fallback_warnings():
     *and* after keeps both this test and any non-autouse-aware neighbour
     order-independent.
     """
-    from repro.kernels.tiers import reset_fallback_warnings
+    from repro.kernels.micro_drain import reset_fallback_warnings
 
     reset_fallback_warnings()
     yield

@@ -178,6 +178,39 @@ class TestPersistentCache:
         assert not service.persistent
         assert list(tmp_path.iterdir()) == []
 
+    def test_cacheless_cell_writes_nothing_under_home(self, tmp_path):
+        """A fresh process's first cell builds and stores nothing on the side.
+
+        Runs in a subprocess with ``HOME`` pointed at an empty directory
+        and every ``REPRO_*`` variable cleared, so no earlier test (and
+        no caller environment) can have pre-populated or redirected a
+        per-user cache.
+        """
+        import subprocess
+        import sys
+
+        home = tmp_path / "home"
+        home.mkdir()
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env.update(HOME=str(home), PYTHONPATH=os.path.abspath(src))
+        subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.harness.service import RunService; "
+                "RunService(use_cache=False).cell('BFS', 'FR')",
+            ],
+            env=env,
+            check=True,
+            timeout=120,
+        )
+        assert not (home / ".cache").exists()
+
 
 class TestParallelMatrix:
     def test_parallel_matches_serial_bit_exact(self):
@@ -437,6 +470,26 @@ class TestLoadCachedRejection:
         with open(path, "w") as handle:
             handle.write(text)
         assert service._load_cached(path, request) is not None
+
+    def test_envelope_with_retired_tier_fields_is_a_persistent_hit(
+        self, warm_entry
+    ):
+        """Entries written while kernel tiers existed still hit.
+
+        Such envelopes carry the tier twice: in the serialized request
+        and in a ``meta`` block.  Neither is part of the content key.
+        """
+        service, request, path, text = self._fresh(warm_entry)
+        envelope = json.loads(text)
+        retired = "kernel" "_tier"  # the removed field's name
+        envelope["request"][retired] = "auto"
+        envelope["meta"] = {retired: "compiled"}
+        with open(path, "w") as handle:
+            json.dump(envelope, handle)
+        assert service._load_cached(path, request) is not None
+        assert service.probe("BFS", "FR")[2] == "persistent"
+        service.cell("BFS", "FR")
+        assert (service.stats.hits, service.stats.misses) == (1, 0)
 
     @pytest.mark.parametrize("keep_fraction", [0.0, 0.25, 0.5, 0.99])
     def test_truncated_json_rejected(self, warm_entry, keep_fraction):

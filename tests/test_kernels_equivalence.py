@@ -1,6 +1,6 @@
-"""Property-based scalar-vs-vectorized-vs-compiled kernel equivalence.
+"""Property-based scalar-vs-vectorized kernel equivalence.
 
-Every vectorized or compiled kernel in :mod:`repro.kernels` claims to be
+Every vectorized kernel in :mod:`repro.kernels` claims to be
 *bit-identical* to its retained scalar reference.  These tests put that
 claim under hypothesis: random op streams, random graphs, random PE
 streams, and random access-pattern batches replay through every
@@ -11,16 +11,8 @@ The stalling pipeline additionally carries an embedded copy of the
 *original* in-flight-slot simulator (the ``while any(...)`` walk this
 PR replaced), so the O(1)-per-op scalar path and the closed-form kernel
 are both checked against the pre-refactor semantics.
-
-The compiled tier (:class:`TestCompiledTier`) is parametrized over every
-native provider that loads in this interpreter -- ``python`` (the shared
-nopython-style reference, always available), ``cffi`` (C extension, needs
-a C toolchain), and ``numba`` (JIT, ``skipif`` when not installed) -- so
-CI legs with different toolchains all exercise the same oracle.
 """
 
-import contextlib
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +31,6 @@ from repro.kernels import (
     stalling_run,
     zero_stall_run,
 )
-from repro.kernels import compiled as compiled_mod
 from repro.memory.hbm import HBM1_512GBS, HBMModel
 from repro.memory.request import AccessPattern, Region
 from repro.vcpm import ALGORITHMS, run_optimized
@@ -272,163 +263,6 @@ class TestMicroDrainKernel:
         assert event == routed
         with pytest.raises(ValueError):
             simulate_scatter_microarch(streams, config, engine="fpga")
-
-
-# ----------------------------------------------------------------------
-# Compiled tier: every loadable native provider against the scalar oracle
-# ----------------------------------------------------------------------
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-@contextlib.contextmanager
-def _forced_provider(name):
-    """Pin ``REPRO_COMPILE_BACKEND`` and reset the provider cache around a test."""
-    old = os.environ.get(compiled_mod.ENV_BACKEND)
-    os.environ[compiled_mod.ENV_BACKEND] = name
-    compiled_mod.reset_provider_cache()
-    try:
-        provider = compiled_mod.get_provider()
-        assert provider is not None and provider.name == name
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(compiled_mod.ENV_BACKEND, None)
-        else:
-            os.environ[compiled_mod.ENV_BACKEND] = old
-        compiled_mod.reset_provider_cache()
-
-
-def _provider_params():
-    """One pytest param per provider; unavailable ones skip, never silently pass."""
-    params = [pytest.param("python", id="provider-python")]
-    params.append(
-        pytest.param(
-            "cffi",
-            id="provider-cffi",
-            marks=pytest.mark.skipif(
-                not _loads("cffi"), reason="cffi/C toolchain unavailable"
-            ),
-        )
-    )
-    params.append(
-        pytest.param(
-            "numba",
-            id="provider-numba",
-            marks=pytest.mark.skipif(
-                not _numba_available(), reason="numba not installed"
-            ),
-        )
-    )
-    return params
-
-
-def _loads(name: str) -> bool:
-    old = os.environ.get(compiled_mod.ENV_BACKEND)
-    os.environ[compiled_mod.ENV_BACKEND] = name
-    compiled_mod.reset_provider_cache()
-    try:
-        return compiled_mod.get_provider() is not None
-    finally:
-        if old is None:
-            os.environ.pop(compiled_mod.ENV_BACKEND, None)
-        else:
-            os.environ[compiled_mod.ENV_BACKEND] = old
-        compiled_mod.reset_provider_cache()
-
-
-@pytest.mark.parametrize("provider", _provider_params())
-class TestCompiledTier:
-    @pytest.mark.parametrize("reduce_op", list(ReduceOp))
-    @settings(max_examples=40, deadline=None)
-    @given(ops=op_streams, vb=vb_dicts)
-    def test_stalling(self, provider, reduce_op, ops, vb):
-        scalar = StallingReducePipeline(reduce_op).run(ops, vb=vb)
-        addrs, values = split_ops(ops)
-        with _forced_provider(provider):
-            native = compiled_mod.stalling_run_compiled(
-                addrs, values, reduce_op, vb=vb
-            )
-        assert _as_tuple(scalar) == _as_tuple(native)
-
-    @pytest.mark.parametrize("reduce_op", list(ReduceOp))
-    @settings(max_examples=40, deadline=None)
-    @given(ops=op_streams, vb=vb_dicts)
-    def test_zero_stall(self, provider, reduce_op, ops, vb):
-        scalar = ZeroStallReducePipeline(reduce_op).run(ops, vb=vb)
-        addrs, values = split_ops(ops)
-        with _forced_provider(provider):
-            native = compiled_mod.zero_stall_run_compiled(
-                addrs, values, reduce_op, vb=vb
-            )
-        assert _as_tuple(scalar) == _as_tuple(native)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        raw=pe_streams_strategy,
-        n_simt=st.integers(1, 4),
-        num_ues=st.integers(2, 8),
-        depth=st.integers(1, 6),
-    )
-    def test_micro_drain(self, provider, raw, n_simt, num_ues, depth):
-        streams = [np.asarray(s, dtype=np.int64) for s in raw]
-        config = GraphDynSConfig(
-            num_pes=len(streams), n_simt=n_simt, num_ues=num_ues
-        )
-        event = simulate_scatter_microarch(
-            streams, config, ue_queue_depth=depth
-        )
-        with _forced_provider(provider):
-            native = compiled_mod.micro_drain_compiled(
-                streams, num_ues, n_simt, depth, max_cycles=10_000_000
-            )
-        assert event == native
-
-    def test_micro_drain_cycle_budget_parity(self, provider):
-        streams = [np.arange(64, dtype=np.int64)]
-        config = GraphDynSConfig(num_pes=1, n_simt=2, num_ues=4)
-        with pytest.raises(RuntimeError):
-            simulate_scatter_microarch(
-                streams, config, ue_queue_depth=64, max_cycles=3
-            )
-        with _forced_provider(provider):
-            with pytest.raises(RuntimeError):
-                compiled_mod.micro_drain_compiled(
-                    streams, 4, 2, 64, max_cycles=3
-                )
-
-    @pytest.mark.parametrize("algo", ["BFS", "SSSP", "CC", "SSWP"])
-    @settings(max_examples=15, deadline=None)
-    @given(data=weighted_graphs)
-    def test_algorithm2(self, provider, algo, data):
-        n, edges = data
-        graph = CSRGraph.from_edge_list(
-            n, [(s, d) for s, d, _ in edges], [w for _, _, w in edges]
-        )
-        scalar = run_optimized(graph, ALGORITHMS[algo], source=0)
-        with _forced_provider(provider):
-            native = run_optimized(
-                graph, ALGORITHMS[algo], source=0, kernel="compiled"
-            )
-        TestBatchedAlgorithm2._assert_identical(scalar, native)
-
-    @settings(max_examples=10, deadline=None)
-    @given(data=weighted_graphs)
-    def test_pagerank(self, provider, data):
-        n, edges = data
-        graph = CSRGraph.from_edge_list(
-            n, [(s, d) for s, d, _ in edges], [w for _, _, w in edges]
-        )
-        scalar = run_optimized(graph, ALGORITHMS["PR"], max_iterations=5)
-        with _forced_provider(provider):
-            native = run_optimized(
-                graph, ALGORITHMS["PR"], max_iterations=5, kernel="compiled"
-            )
-        TestBatchedAlgorithm2._assert_identical(scalar, native)
 
 
 # ----------------------------------------------------------------------

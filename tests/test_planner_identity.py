@@ -71,15 +71,6 @@ class TestSpecMatrixIdentity:
         )
         assert spec_json == hand_json
 
-    @pytest.mark.parametrize("tier", ["scalar", "vectorized"])
-    def test_kernel_tier_identity(self, tier):
-        spec_json = _spec_path_json(
-            f"name: t\nalgorithms: [BFS]\ngraphs: [RM12]\n"
-            f"kernel_tier: {tier}\n"
-        )
-        hand_json = _matrix_path_json(["BFS"], ["RM12"], kernel_tier=tier)
-        assert spec_json == hand_json
-
     def test_override_grid_matches_hand_built_services(self):
         """Each override point equals a service built with that config."""
         import dataclasses as dc

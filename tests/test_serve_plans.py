@@ -33,7 +33,6 @@ class PlannableStub:
     default_source = 0
     storage = "memory"
     shards = 1
-    kernel_tier = "auto"
     backends = ("stub",)
 
     def __init__(self):
@@ -173,8 +172,6 @@ class TestPlanRejections:
             "name: x\nalgorithms: [BFS]\ngraphs: [RM22]\n"
             "storage: spill\n",
             "name: x\nalgorithms: [BFS]\ngraphs: [RM22]\nshards: 4\n",
-            "name: x\nalgorithms: [BFS]\ngraphs: [RM22]\n"
-            "kernel_tier: compiled\n",
         ]
         for yaml_text in cases:
             status, _, body = submit_plan(

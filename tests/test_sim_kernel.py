@@ -1,51 +1,14 @@
-"""Discrete-event kernel tests: clock, queues, ports, engine."""
+"""Simulation primitive tests: queues, double buffers, ports."""
 
 import pytest
 
 from repro.sim import (
     BoundedQueue,
-    Clock,
     DoubleBuffer,
-    EventEngine,
     Port,
     QueueEmptyError,
     QueueFullError,
 )
-
-
-class TestClock:
-    def test_starts_at_zero(self):
-        assert Clock().cycle == 0
-
-    def test_tick_advances(self):
-        clock = Clock()
-        assert clock.tick() == 1
-        assert clock.tick(5) == 6
-
-    def test_advance_to_never_rewinds(self):
-        clock = Clock()
-        clock.advance_to(10)
-        clock.advance_to(5)
-        assert clock.cycle == 10
-
-    def test_seconds_at_frequency(self):
-        clock = Clock(frequency_hz=1e9)
-        clock.tick(1000)
-        assert clock.seconds == pytest.approx(1e-6)
-
-    def test_rejects_negative_tick(self):
-        with pytest.raises(ValueError):
-            Clock().tick(-1)
-
-    def test_rejects_bad_frequency(self):
-        with pytest.raises(ValueError):
-            Clock(frequency_hz=0)
-
-    def test_reset(self):
-        clock = Clock()
-        clock.tick(7)
-        clock.reset()
-        assert clock.cycle == 0
 
 
 class TestBoundedQueue:
@@ -150,65 +113,3 @@ class TestPort:
         with pytest.raises(ValueError):
             Port(0)
 
-
-class TestEventEngine:
-    def test_runs_in_cycle_order(self):
-        engine = EventEngine()
-        order = []
-        engine.schedule(5, lambda: order.append("b"))
-        engine.schedule(1, lambda: order.append("a"))
-        engine.run()
-        assert order == ["a", "b"]
-        assert engine.current_cycle == 5
-
-    def test_same_cycle_fifo(self):
-        engine = EventEngine()
-        order = []
-        for tag in "abc":
-            engine.schedule(2, lambda t=tag: order.append(t))
-        engine.run()
-        assert order == ["a", "b", "c"]
-
-    def test_events_can_schedule_events(self):
-        engine = EventEngine()
-        hits = []
-
-        def chain(n):
-            hits.append(n)
-            if n < 3:
-                engine.schedule(1, lambda: chain(n + 1))
-
-        engine.schedule(0, lambda: chain(0))
-        engine.run()
-        assert hits == [0, 1, 2, 3]
-        assert engine.current_cycle == 3
-
-    def test_run_until(self):
-        engine = EventEngine()
-        hits = []
-        engine.schedule(1, lambda: hits.append(1))
-        engine.schedule(10, lambda: hits.append(10))
-        engine.run_until(5)
-        assert hits == [1]
-        assert engine.pending == 1
-
-    def test_rejects_past_scheduling(self):
-        engine = EventEngine()
-        engine.schedule(3, lambda: None)
-        engine.run()
-        with pytest.raises(ValueError):
-            engine.schedule_at(1, lambda: None)
-
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            EventEngine().schedule(-1, lambda: None)
-
-    def test_livelock_guard(self):
-        engine = EventEngine()
-
-        def forever():
-            engine.schedule(1, forever)
-
-        engine.schedule(0, forever)
-        with pytest.raises(RuntimeError):
-            engine.run(max_events=100)

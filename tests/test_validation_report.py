@@ -6,11 +6,6 @@ from repro.graph import power_law_graph
 from repro.harness.report import ExperimentRecord
 from repro.harness.validation import validate_all, validate_engines
 from repro.harness.figures import FigureResult
-from repro.kernels import compiled_available
-
-#: The compiled rendering of Algorithm 2 joins the sweep only when a
-#: native kernel provider loads in this interpreter.
-_COMPILED_LEG = 1 if compiled_available() else 0
 
 
 class TestValidateEngines:
@@ -19,7 +14,7 @@ class TestValidateEngines:
         graph = power_law_graph(150, 700, seed=31, name="val")
         outcome = validate_engines(graph, algo)
         assert outcome.agreed, outcome.detail
-        assert outcome.engines_checked == 5 + _COMPILED_LEG
+        assert outcome.engines_checked == 5
 
     def test_without_component_level(self):
         graph = power_law_graph(150, 700, seed=32, name="val")
@@ -27,7 +22,7 @@ class TestValidateEngines:
             graph, "BFS", include_component_level=False
         )
         assert outcome.agreed
-        assert outcome.engines_checked == 4 + _COMPILED_LEG
+        assert outcome.engines_checked == 4
 
     def test_validate_all_battery(self):
         outcomes = validate_all(
