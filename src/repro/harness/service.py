@@ -613,7 +613,8 @@ class RunService:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(envelope, handle)
+                # json.dumps takes the C encoder; json.dump never does.
+                handle.write(json.dumps(envelope))
             os.replace(tmp_path, path)  # atomic under concurrent writers
         except OSError:
             try:

@@ -30,19 +30,24 @@ def grouped_duplicate_count(dst: np.ndarray, group_width: int) -> int:
     Counts flits whose destination *vertex* (not just UE) already appears in
     the same issue group -- the read-after-write hazards a stall-on-conflict
     reducer pays for and the zero-stall Reduce Pipeline absorbs.
+
+    Only flits of one group can collide, so each group is sorted on its own:
+    the full groups as the rows of an ``(n // w, w)`` view sorted along
+    axis 1, the ``n % w`` tail separately.  A group of ``k`` distinct
+    addresses over ``m`` flits has ``m - k`` equal sorted neighbours, so the
+    count is exact at O(n log w) work.
     """
-    dst = np.asarray(dst, dtype=np.int64)
+    dst = np.asarray(dst)
     n = dst.size
     if n == 0 or group_width < 2:
         return 0
-    group_ids = np.arange(n, dtype=np.int64) // group_width
-    order = np.lexsort((dst, group_ids))
-    sorted_groups = group_ids[order]
-    sorted_dst = dst[order]
-    same = (sorted_groups[1:] == sorted_groups[:-1]) & (
-        sorted_dst[1:] == sorted_dst[:-1]
+    full = n - n % group_width
+    rows = np.sort(dst[:full].reshape(-1, group_width), axis=1)
+    tail = np.sort(dst[full:])
+    return int(
+        np.count_nonzero(rows[:, 1:] == rows[:, :-1])
+        + np.count_nonzero(tail[1:] == tail[:-1])
     )
-    return int(np.count_nonzero(same))
 
 
 @dataclasses.dataclass
@@ -103,7 +108,7 @@ class Crossbar:
         n = int(dst_vertices.size)
         if n == 0:
             return CrossbarStats(0, 0, 0, 0, 0)
-        outputs = (dst_vertices % self.num_outputs).astype(np.int64)
+        outputs = dst_vertices % self.num_outputs
         num_groups = -(-n // self.issue_width)
         total_loads = np.bincount(outputs, minlength=self.num_outputs)
         max_total = int(total_loads.max())

@@ -150,7 +150,7 @@ def write_chrome_trace(
 ) -> None:
     """Serialize :func:`chrome_trace` to ``path`` (sorted keys)."""
     with open(path, "w") as handle:
-        json.dump(chrome_trace(recorder, pid=pid), handle, sort_keys=True)
+        handle.write(json.dumps(chrome_trace(recorder, pid=pid), sort_keys=True))
 
 
 def stats_rows(

@@ -8,6 +8,7 @@ report schema.
 """
 
 import dataclasses
+import io
 import json
 import os
 
@@ -29,6 +30,7 @@ from repro.harness import (
     CacheStoreWarning,
     CellExecutionError,
     ExperimentSuite,
+    ResilientRunService,
     RunService,
     default_backends,
 )
@@ -210,6 +212,23 @@ class TestPersistentCache:
             timeout=120,
         )
         assert not (home / ".cache").exists()
+
+
+    @pytest.mark.parametrize("service_cls", [RunService, ResilientRunService])
+    def test_envelope_bytes_match_json_dump(self, tmp_path, service_cls):
+        """The stored bytes are what ``json.dump`` of the envelope writes.
+
+        ``json.dump`` into a stream was the original cache encoder; pin the
+        on-disk format to it so the encoder cannot drift.
+        """
+        service = service_cls(cache_dir=str(tmp_path / "cache"))
+        service.cell("BFS", "FR")
+        path = service._cache_path(service.request_for("BFS", "FR"))
+        with open(path) as handle:
+            stored = handle.read()
+        expected = io.StringIO()
+        json.dump(json.loads(stored), expected)
+        assert stored == expected.getvalue()
 
 
 class TestParallelMatrix:

@@ -2,8 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import Crossbar, grouped_duplicate_count
+
+
+def _lexsort_reference(dst, group_width: int) -> int:
+    """Oracle: one global sort on (group, address), count equal neighbours."""
+    dst = np.asarray(dst, dtype=np.int64)
+    n = dst.size
+    if n == 0 or group_width < 2:
+        return 0
+    group_ids = np.arange(n, dtype=np.int64) // group_width
+    order = np.lexsort((dst, group_ids))
+    sorted_groups = group_ids[order]
+    sorted_dst = dst[order]
+    same = (sorted_groups[1:] == sorted_groups[:-1]) & (
+        sorted_dst[1:] == sorted_dst[:-1]
+    )
+    return int(np.count_nonzero(same))
 
 
 class TestElasticRouting:
@@ -96,6 +114,31 @@ class TestGroupedDuplicates:
 
     def test_empty(self):
         assert grouped_duplicate_count(np.zeros(0, dtype=np.int64), 8) == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        width=st.integers(1, 300),
+        values=st.integers(1, 16),
+        kind=st.sampled_from(["int32", "int64", "list"]),
+        data=st.data(),
+    )
+    def test_matches_lexsort_reference(self, width, values, kind, data):
+        # n = width * groups + tail covers n < w, n == w and a ragged tail.
+        groups = data.draw(st.integers(0, 2000 // width), label="groups")
+        tail = data.draw(st.integers(0, min(width - 1, 2000 - groups * width)), label="tail")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        dst = np.random.default_rng(seed).integers(0, values, size=groups * width + tail)
+        dst = dst.tolist() if kind == "list" else dst.astype(kind)
+        assert grouped_duplicate_count(dst, width) == _lexsort_reference(dst, width)
+
+    @pytest.mark.parametrize("width", [8, 256])
+    def test_matches_reference_on_zipf_stream(self, width):
+        # A power-law destination stream, the irregularity AO targets.
+        dst = np.random.default_rng(width).zipf(1.3, size=1_000_000) % 50_000
+        dst = dst.astype(np.int32)
+        expected = _lexsort_reference(dst, width)
+        assert expected > 0
+        assert grouped_duplicate_count(dst, width) == expected
 
 
 class TestValidation:
