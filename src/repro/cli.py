@@ -23,8 +23,8 @@ newly registered backend is immediately runnable and comparable.  The
 cache (disable with ``--no-cache``; relocate with ``--cache-dir``) and
 can fan the evaluation matrix out across workers with ``--jobs``.
 
-``matrix`` runs the evaluation matrix through the resilience layer
-(:mod:`repro.harness.resilience`): per-cell timeouts, bounded retries
+``matrix`` runs the evaluation matrix under a retry policy
+(:mod:`repro.harness.resilience`): per-attempt deadlines, bounded retries
 with jittered backoff, process→thread→serial executor degradation, and
 a checkpoint manifest (``--checkpoint``/``--resume``) so a killed sweep
 re-executes only its unfinished cells.  ``--inject`` enables the

@@ -18,7 +18,7 @@ from ..backends.base import Backend
 from ..graph.csr import CSRGraph
 from ..graphdyns.config import DEFAULT_CONFIG, GraphDynSConfig
 from .faults import FaultInjector
-from .resilience import ResilientRunService, RetryPolicy
+from .resilience import RetryPolicy
 from .service import (
     REAL_WORLD_KEYS,
     CellResult,
@@ -43,10 +43,9 @@ class ExperimentSuite:
     """Lazily-evaluated, memoized (algorithm x graph) result matrix.
 
     A facade over :class:`RunService` keeping the historical constructor
-    while exposing the new caching/parallelism knobs.  Passing any of
-    ``resilience`` / ``faults`` / ``manifest_path`` upgrades the backing
-    service to a :class:`ResilientRunService` (retries, timeouts,
-    executor degradation, checkpoint/resume).
+    while exposing the new caching/parallelism knobs.  ``resilience`` is
+    the service's retry policy; ``faults``, ``manifest_path`` and
+    ``resume`` pass straight through to it.
     """
 
     def __init__(
@@ -68,7 +67,7 @@ class ExperimentSuite:
     ) -> None:
         self.graphdyns_config = graphdyns_config
         self.default_source = default_source
-        common = dict(
+        self.service = RunService(
             backends=backends,
             backend_configs={"graphdyns": graphdyns_config},
             default_source=default_source,
@@ -78,21 +77,11 @@ class ExperimentSuite:
             executor=executor,
             storage=storage,
             shards=shards,
+            policy=resilience,
+            faults=faults,
+            manifest_path=manifest_path,
+            resume=resume,
         )
-        if (
-            resilience is not None
-            or faults is not None
-            or manifest_path is not None
-        ):
-            self.service: RunService = ResilientRunService(
-                policy=resilience,
-                faults=faults,
-                manifest_path=manifest_path,
-                resume=resume,
-                **common,
-            )
-        else:
-            self.service = RunService(**common)
 
     def cell(self, algorithm: str, graph_key: str) -> CellResult:
         """Run (or recall) one cell of the evaluation matrix."""

@@ -4,7 +4,7 @@ Graph workloads are dominated by data-dependent irregularity, so a
 production evaluation matrix must expect stragglers, dead workers, and
 half-written cache entries as the norm rather than the exception.  This
 module provides the *controlled* versions of those failures, so the
-resilience layer (:mod:`repro.harness.resilience`) can be driven through
+run service's resilience policy can be driven through
 every recovery path by an ordinary test:
 
 ``FaultSpec``
@@ -26,7 +26,9 @@ every recovery path by an ordinary test:
 ``CellFaultPlan``
     The picklable per-cell slice of an injector, handed to
     ``ProcessPoolExecutor`` workers so faults fire *inside* the worker
-    even though the injector's counters live in the parent.
+    even though the injector's counters live in the parent.  It has the
+    injector's ``on_cell_start`` hook, so the worker's service takes it
+    in place of the whole injector.
 
 The daemon (:mod:`repro.harness.serve`) adds three daemon-level kinds:
 ``kill-daemon:N`` (the *host* process dies with ``os._exit`` when the
@@ -173,6 +175,12 @@ class CellFaultPlan:
             or self.kill
             or self.kill_host
         )
+
+    def on_cell_start(
+        self, algorithm: str, graph_key: str, attempt: int
+    ) -> None:
+        """Injector hook of a worker-side service, whose only cell this is."""
+        self.fire(attempt, in_worker=True)
 
     def fire(self, attempt: int, in_worker: bool = False) -> None:
         if self.kill_host and attempt == 1:

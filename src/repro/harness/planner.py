@@ -185,18 +185,13 @@ def services_for_spec(
     use_cache: bool = True,
     jobs: int = 1,
     executor: str = "thread",
-    resilience: Optional[object] = None,
-    faults: Optional[object] = None,
-    manifest_path: Optional[str] = None,
-    resume: bool = False,
 ) -> "OrderedDict[str, RunService]":
     """One run service per override point, in grid order.
 
     Each override gets its own service because the backend set (and
     hence every cell's content-addressed key) differs per override;
     services share the persistent ``cache_dir``, so identical cells
-    across plans still deduplicate on disk.  Passing any resilience
-    kwarg upgrades every service to ``ResilientRunService``.
+    across plans still deduplicate on disk.
     """
     common = dict(
         default_source=spec.source,
@@ -207,27 +202,10 @@ def services_for_spec(
         storage=spec.storage,
         shards=spec.shards,
     )
-    resilient = (
-        resilience is not None
-        or faults is not None
-        or manifest_path is not None
-    )
     services: "OrderedDict[str, RunService]" = OrderedDict()
     for override in spec.effective_overrides():
         backends = backends_for_override(spec, override)
-        if resilient:
-            from .resilience import ResilientRunService
-
-            services[override.name] = ResilientRunService(
-                backends,
-                policy=resilience,  # type: ignore[arg-type]
-                faults=faults,  # type: ignore[arg-type]
-                manifest_path=manifest_path,
-                resume=resume,
-                **common,
-            )
-        else:
-            services[override.name] = RunService(backends, **common)
+        services[override.name] = RunService(backends, **common)
     return services
 
 

@@ -1,10 +1,11 @@
-"""Fault-tolerant execution layer for the run service.
+"""Resilience policy objects of the run service.
 
 The evaluation matrix is dominated by data-dependent irregularity: cell
 cost varies by orders of magnitude across (algorithm, graph) pairs, so
 long-tail cells, hung workers, dead ``ProcessPoolExecutor`` children and
-half-written cache files are the norm at scale, not the exception.  This
-module makes :class:`~repro.harness.service.RunService` survive them:
+half-written cache files are the norm at scale, not the exception.
+:class:`~repro.harness.service.RunService` survives them under the
+policies defined here:
 
 * **Bounded retries with exponential backoff + deterministic jitter**
   (:class:`RetryPolicy`): transient failures — injected faults, worker
@@ -12,26 +13,23 @@ module makes :class:`~repro.harness.service.RunService` survive them:
   are retried up to ``max_attempts`` times.  Jitter is derived from a
   hash of the cell key and attempt number, never from global RNG state,
   so a retried matrix is exactly reproducible.
-* **Per-cell timeouts with cancellation**: each attempt runs on a
-  dedicated thread and is abandoned at the deadline (``CellTimeoutError``
-  is transient, so the cell is retried).  A genuinely wedged attempt
-  can only be *abandoned*, not killed — the CI ``pytest-timeout``
-  ceiling is the backstop of last resort.
-* **Graceful degradation**: when a whole executor tier dies (a broken
-  process pool), the unfinished cells fall back process → thread →
-  serial.  Cells are deterministic pure functions, so every tier
-  produces bit-identical :class:`RunReport` JSON.
+* **Per-attempt deadlines** (``RetryPolicy.timeout``): the deadline
+  counts from the start of the attempt, in every executor tier.  A
+  timed-out attempt is abandoned (``CellTimeoutError`` is transient, so
+  the cell is retried); a genuinely wedged attempt can only be
+  *abandoned*, not killed — the CI ``pytest-timeout`` ceiling is the
+  backstop of last resort.
 * **Checkpoint / resume** (:class:`RunManifest`): an append-only journal
   of completed cells.  ``repro matrix --checkpoint m.jsonl`` records
   progress; after a mid-flight kill, ``repro matrix --resume m.jsonl``
   re-executes only the unfinished cells (finished ones replay from the
   persistent result cache).
-* **Deterministic fault injection**: a :class:`~repro.harness.faults.
-  FaultInjector` can be plugged into the service so tests (and the CLI's
-  ``--inject`` flag) can drive every recovery path on demand.
 
-All recovery actions are visible in ``RunService.stats``
-(``retries`` / ``timeouts`` / ``degradations`` / ``store_failures``).
+Executor degradation (process → thread → serial when a pool breaks) and
+deterministic fault injection (:mod:`repro.harness.faults`) are wired in
+the service itself.  All recovery actions are visible in
+``RunService.stats`` (``retries`` / ``timeouts`` / ``degradations`` /
+``store_failures``).
 """
 
 from __future__ import annotations
@@ -41,41 +39,16 @@ import hashlib
 import json
 import os
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..graph import datasets
-from ..obs import get_recorder
-from ..vcpm.algorithms import algorithm_names
-from ..vcpm.partitioned import scatter_shard_task
-from .faults import FaultError, FaultInjector
+from .faults import FaultError
 from .journal import advisory_lock, locked_append_line
-from .service import (
-    REAL_WORLD_KEYS,
-    CellExecutionError,
-    CellResult,
-    RunRequest,
-    RunService,
-    _await_cell_futures,
-    _cell_in_subprocess,
-)
 
 __all__ = [
     "CellTimeoutError",
     "MANIFEST_SCHEMA",
     "ResilienceWarning",
-    "ResilientRunService",
     "RetryPolicy",
     "RunManifest",
     "TRANSIENT_ERRORS",
@@ -332,435 +305,12 @@ class RunManifest:
         ]
 
 
-# ----------------------------------------------------------------------
-# Resilient service
-# ----------------------------------------------------------------------
+def __getattr__(name: str):
+    # ``ResilientRunService`` stays importable from here for code written
+    # against that name; resolved lazily because the service module
+    # imports this one.
+    if name == "ResilientRunService":
+        from .service import RunService
 
-
-class _TierFailure(Exception):
-    """A whole executor tier died; carry the unfinished cells onward."""
-
-    def __init__(
-        self, remaining: List[Tuple[str, str]], cause: BaseException
-    ) -> None:
-        super().__init__(f"{len(remaining)} cells unfinished: {cause!r}")
-        self.remaining = remaining
-        self.cause = cause
-
-
-def _resilient_cell_worker(
-    backends,
-    algorithm: str,
-    graph_key: str,
-    source: int,
-    plan,
-    max_attempts: int,
-    storage: str = "memory",
-    shards: int = 1,
-) -> Tuple[CellResult, int]:
-    """Process-pool entry point: fault hooks + retries inside the worker.
-
-    Returns ``(cell, attempts_used)`` so the parent can account retries
-    that happened out-of-process.  A ``kill`` plan calls ``os._exit``,
-    which surfaces in the parent as ``BrokenProcessPool`` and is handled
-    by tier degradation instead.
-    """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            if plan is not None:
-                plan.fire(attempt, in_worker=True)
-            cell = _cell_in_subprocess(
-                backends, algorithm, graph_key, source, storage, shards
-            )
-            return cell, attempt
-        except FaultError:
-            if attempt >= max_attempts:
-                raise
-
-
-#: Degradation order per requested executor.
-_TIER_ORDER: Dict[str, Tuple[str, ...]] = {
-    "process": ("process", "thread", "serial"),
-    "thread": ("thread", "serial"),
-    "serial": ("serial",),
-}
-
-
-class ResilientRunService(RunService):
-    """A :class:`RunService` that survives crashes, hangs, and bad disks.
-
-    Construction mirrors :class:`RunService`, plus:
-
-    Args:
-        policy: the :class:`RetryPolicy` (attempts/backoff/timeout).
-        faults: optional :class:`~repro.harness.faults.FaultInjector`
-            for deterministic failure drills.
-        manifest_path: checkpoint journal location; every completed cell
-            is recorded there during :meth:`matrix`.
-        resume: when True and ``manifest_path`` exists, continue that
-            sweep — its header supplies the matrix shape if the caller
-            passes none, and completed cells replay from the persistent
-            cache instead of re-executing.
-        sleep: injectable backoff sleeper (tests pass a no-op).
-    """
-
-    def __init__(
-        self,
-        *args,
-        policy: Optional[RetryPolicy] = None,
-        faults: Optional[FaultInjector] = None,
-        manifest_path: Optional[str] = None,
-        resume: bool = False,
-        sleep: Callable[[float], None] = time.sleep,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.policy = policy or RetryPolicy()
-        self.faults = faults
-        self.manifest_path = manifest_path
-        self.resume = resume
-        self._sleep = sleep
-        self._manifest: Optional[RunManifest] = None
-
-    # ------------------------------------------------------------------
-    # Cell-level resilience
-    # ------------------------------------------------------------------
-    def _run_cell(self, request: RunRequest) -> CellResult:
-        token = f"{request.algorithm}/{request.graph_key}"
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return self._attempt_cell(request, attempt)
-            except self.policy.transient as exc:
-                if attempt >= self.policy.max_attempts:
-                    raise CellExecutionError(
-                        request.algorithm,
-                        request.graph_key,
-                        detail=repr(exc),
-                        attempts=attempt,
-                    ) from exc
-                with self._lock:
-                    self.stats.retries += 1
-                rec = get_recorder()
-                if rec.enabled:
-                    rec.counter("resilience.retries").add()
-                    rec.event(
-                        "resilience.retry",
-                        track="service",
-                        cell=token,
-                        attempt=attempt,
-                        error=type(exc).__name__,
-                    )
-                self._sleep(self.policy.delay(attempt, token))
-
-    def _attempt_cell(self, request: RunRequest, attempt: int) -> CellResult:
-        """One attempt, under the per-cell deadline when configured."""
-        if self.policy.timeout is None:
-            return self._attempt_body(request, attempt)
-        pool = ThreadPoolExecutor(max_workers=1)
-        try:
-            future = pool.submit(self._attempt_body, request, attempt)
-            try:
-                return future.result(timeout=self.policy.timeout)
-            except FuturesTimeoutError:
-                future.cancel()
-                with self._lock:
-                    self.stats.timeouts += 1
-                rec = get_recorder()
-                if rec.enabled:
-                    rec.counter("resilience.timeouts").add()
-                    rec.event(
-                        "resilience.timeout",
-                        track="service",
-                        cell=f"{request.algorithm}/{request.graph_key}",
-                        attempt=attempt,
-                    )
-                raise CellTimeoutError(
-                    f"cell ({request.algorithm}, {request.graph_key}) "
-                    f"attempt {attempt} exceeded {self.policy.timeout}s; "
-                    "attempt abandoned"
-                ) from None
-        finally:
-            # Abandon, don't wait: a wedged attempt thread must not block
-            # the retry (it is left to finish -- or hang -- in the dark).
-            pool.shutdown(wait=False)
-
-    def _attempt_body(self, request: RunRequest, attempt: int) -> CellResult:
-        if self.faults is not None:
-            self.faults.on_cell_start(
-                request.algorithm, request.graph_key, attempt
-            )
-        return super()._run_cell(request)
-
-    def _shard_runner_for(self, request: RunRequest, graph):
-        """Wrap the shard runner to journal per-shard breadcrumbs.
-
-        Active only for parent-side sharded cells with an open manifest:
-        the first completion of each shard index is appended to the
-        journal, so a killed paper-scale sweep shows how far each cell's
-        shard fan-out progressed.
-        """
-        runner, graph_ref, cleanup = super()._shard_runner_for(request, graph)
-        manifest = self._manifest
-        if manifest is None or request.shards <= 1:
-            return runner, graph_ref, cleanup
-        base = runner or (
-            lambda tasks: [scatter_shard_task(t, graph) for t in tasks]
-        )
-
-        def marking_runner(tasks):
-            segments = base(tasks)
-            for task in tasks:
-                manifest.mark_shard(
-                    request.algorithm,
-                    request.graph_key,
-                    task.shard_index,
-                    request.shards,
-                )
-            return segments
-
-        return marking_runner, graph_ref, cleanup
-
-    # ------------------------------------------------------------------
-    # Store-level resilience
-    # ------------------------------------------------------------------
-    def _write_envelope(self, path: str, envelope: Dict[str, object]) -> None:
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                if self.faults is not None:
-                    self.faults.on_store(path)
-                super()._write_envelope(path, envelope)
-                if self.faults is not None:
-                    self.faults.after_store(path)
-                return
-            except OSError:
-                if attempt >= self.policy.max_attempts:
-                    raise
-                with self._lock:
-                    self.stats.retries += 1
-                self._sleep(self.policy.delay(attempt, path))
-
-    # ------------------------------------------------------------------
-    # Matrix orchestration: tiers + checkpointing
-    # ------------------------------------------------------------------
-    def matrix(
-        self,
-        algorithms: Optional[Sequence[str]] = None,
-        graph_keys: Optional[Sequence[str]] = None,
-        jobs: Optional[int] = None,
-        executor: Optional[str] = None,
-    ) -> List[CellResult]:
-        workers = self.jobs if jobs is None else max(int(jobs), 1)
-        executor = self.executor if executor is None else executor
-        manifest = self._open_manifest(algorithms, graph_keys)
-        if manifest is not None:
-            algorithms = list(algorithms) if algorithms else manifest.algorithms
-            graph_keys = list(graph_keys) if graph_keys else manifest.graph_keys
-        algorithms = list(algorithms or algorithm_names())
-        graph_keys = list(graph_keys or REAL_WORLD_KEYS)
-        pairs = [(a, g) for a in algorithms for g in graph_keys]
-        unique = list(dict.fromkeys(pairs))
-        mode = executor if workers > 1 and len(unique) > 1 else "serial"
-        remaining = unique
-        for tier in _TIER_ORDER[mode]:
-            if not remaining:
-                break
-            try:
-                self._run_tier(tier, remaining, workers, manifest)
-                remaining = []
-            except _TierFailure as failure:
-                with self._lock:
-                    self.stats.degradations += 1
-                remaining = failure.remaining
-                rec = get_recorder()
-                if rec.enabled:
-                    rec.counter("resilience.degradations").add()
-                    rec.event(
-                        "resilience.degradation",
-                        track="service",
-                        tier=tier,
-                        remaining=len(remaining),
-                    )
-                warnings.warn(
-                    f"executor tier {tier!r} broke ({failure.cause!r}); "
-                    f"degrading {len(remaining)} unfinished cells to the "
-                    "next tier",
-                    ResilienceWarning,
-                    stacklevel=2,
-                )
-        return [self.cell(a, g) for a, g in pairs]
-
-    def _open_manifest(
-        self,
-        algorithms: Optional[Sequence[str]],
-        graph_keys: Optional[Sequence[str]],
-    ) -> Optional[RunManifest]:
-        if not self.manifest_path:
-            return None
-        if self._manifest is not None:
-            return self._manifest
-        if self.resume and os.path.exists(self.manifest_path):
-            self._manifest = RunManifest.load(self.manifest_path)
-        else:
-            self._manifest = RunManifest.start(
-                self.manifest_path,
-                list(algorithms or algorithm_names()),
-                list(graph_keys or REAL_WORLD_KEYS),
-            )
-        return self._manifest
-
-    def _mark(
-        self,
-        manifest: Optional[RunManifest],
-        algorithm: str,
-        graph_key: str,
-    ) -> None:
-        if manifest is None or manifest.is_completed(algorithm, graph_key):
-            return
-        manifest.mark(
-            algorithm,
-            graph_key,
-            cache_key=self.cache_key(self.request_for(algorithm, graph_key)),
-        )
-
-    def _run_tier(
-        self,
-        tier: str,
-        pairs: List[Tuple[str, str]],
-        workers: int,
-        manifest: Optional[RunManifest],
-    ) -> None:
-        if tier == "process":
-            self._run_tier_process(pairs, workers, manifest)
-        elif tier == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(self.cell, algorithm, graph_key): (
-                        algorithm,
-                        graph_key,
-                    )
-                    for algorithm, graph_key in pairs
-                }
-                _await_cell_futures(
-                    futures,
-                    on_done=lambda cell: self._mark(manifest, *cell),
-                )
-        else:
-            for algorithm, graph_key in pairs:
-                self.cell(algorithm, graph_key)
-                self._mark(manifest, algorithm, graph_key)
-
-    def _run_tier_process(
-        self,
-        pairs: List[Tuple[str, str]],
-        workers: int,
-        manifest: Optional[RunManifest],
-    ) -> None:
-        """Process tier: parent-side caches, worker-side fault plans.
-
-        Raises :class:`_TierFailure` carrying the unfinished cells when
-        the pool itself breaks (e.g. a worker died with ``os._exit``),
-        so :meth:`matrix` can degrade instead of aborting the sweep.
-        """
-        pending = []
-        for algorithm, graph_key in pairs:
-            if datasets.is_dynamic(graph_key):
-                # Worker processes cannot see this process's dynamic
-                # registrations, so dynamic cells run in-parent (the
-                # serial path still applies retries and fault hooks).
-                self.cell(algorithm, graph_key)
-                self._mark(manifest, algorithm, graph_key)
-                continue
-            key = self._memo_key(algorithm, graph_key)
-            with self._lock:
-                if key in self._cells:
-                    self._mark(manifest, algorithm, graph_key)
-                    continue
-            request = self.request_for(algorithm, graph_key)
-            path = self._cache_path(request) if self.persistent else None
-            if path is not None:
-                cached = self._load_cached(path, request)
-                if cached is not None:
-                    with self._lock:
-                        self.stats.hits += 1
-                        self._cells.setdefault(key, cached)
-                    self._mark(manifest, algorithm, graph_key)
-                    continue
-            plan = (
-                self.faults.plan_for(request.algorithm, graph_key)
-                if self.faults is not None
-                else None
-            )
-            pending.append((algorithm, graph_key, key, request, path, plan))
-        if not pending:
-            return
-        pool = ProcessPoolExecutor(max_workers=workers)
-        finished = set()
-        try:
-            futures = [
-                (
-                    pool.submit(
-                        _resilient_cell_worker,
-                        self.backends,
-                        request.algorithm,
-                        request.graph_key,
-                        request.source,
-                        plan if plan else None,
-                        self.policy.max_attempts,
-                        request.storage,
-                        request.shards,
-                    ),
-                    algorithm,
-                    graph_key,
-                    key,
-                    request,
-                    path,
-                )
-                for algorithm, graph_key, key, request, path, plan in pending
-            ]
-            for future, algorithm, graph_key, key, request, path in futures:
-                try:
-                    cell, attempts = future.result(
-                        timeout=self.policy.timeout
-                    )
-                except FuturesTimeoutError:
-                    with self._lock:
-                        self.stats.timeouts += 1
-                    # Abandon the worker's attempt; finish the cell in
-                    # the parent under the full retry machinery.
-                    self.cell(algorithm, graph_key)
-                except BrokenProcessPool as exc:
-                    raise _TierFailure(
-                        [
-                            (a, g)
-                            for _, a, g, k, _, _ in futures
-                            if k not in finished
-                        ],
-                        exc,
-                    ) from exc
-                except Exception as exc:
-                    raise CellExecutionError(
-                        algorithm,
-                        graph_key,
-                        detail=repr(exc),
-                        attempts=self.policy.max_attempts,
-                    ) from exc
-                else:
-                    if attempts > 1:
-                        with self._lock:
-                            self.stats.retries += attempts - 1
-                    if path is not None:
-                        self._store_cached(path, request, cell)
-                    with self._lock:
-                        self.stats.misses += 1
-                        self._cells.setdefault(key, cell)
-                finished.add(key)
-                self._mark(manifest, algorithm, graph_key)
-        finally:
-            # wait=False: a hung or dead worker must not block shutdown.
-            pool.shutdown(wait=False)
+        return RunService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

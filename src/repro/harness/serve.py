@@ -2,7 +2,7 @@
 
 This module turns the library into a long-running service: an HTTP/JSON
 API (stdlib :mod:`http.server`, no new dependencies) wrapping one warm
-:class:`~repro.harness.resilience.ResilientRunService`, engineered
+:class:`~repro.harness.service.RunService` under a retry policy, engineered
 around the same thesis as the paper — irregular, bursty load needs an
 *explicit* scheduling and load-management layer, not best-effort
 execution.  Four properties, each carried by a dedicated mechanism:
@@ -82,8 +82,8 @@ from ..vcpm.algorithms import get_algorithm
 from .admission import AdmissionController, AdmissionDecision, executor_for_load
 from .faults import FaultInjector
 from .journal import JobJournal, JournalError
-from .resilience import ResilientRunService, RetryPolicy
-from .service import canonical_reports_json
+from .resilience import RetryPolicy
+from .service import RunService, canonical_reports_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .specs import ExperimentSpec
@@ -264,14 +264,14 @@ class SimulationDaemon:
     Args:
         config: see :class:`DaemonConfig`.
         service: injectable pre-built service (tests substitute stubs);
-            defaults to a :class:`ResilientRunService` built from
-            ``config``.
+            defaults to a :class:`~repro.harness.service.RunService`
+            built from ``config``.
     """
 
     def __init__(
         self,
         config: Optional[DaemonConfig] = None,
-        service: Optional[ResilientRunService] = None,
+        service: Optional[RunService] = None,
     ) -> None:
         self.config = config or DaemonConfig()
         self.faults: Optional[FaultInjector] = (
@@ -288,7 +288,7 @@ class SimulationDaemon:
             if self.config.executor in ("thread", "process")
             else "thread"
         )
-        self.service = service or ResilientRunService(
+        self.service = service or RunService(
             cache_dir=self.config.cache_dir,
             use_cache=self.config.use_cache,
             jobs=self.config.jobs if self.config.executor != "serial" else 1,

@@ -1,7 +1,9 @@
-"""Run service: cached, parallel evaluation of (algorithm x graph) cells.
+"""Run service: cached, parallel, fault-tolerant evaluation of
+(algorithm x graph) cells.
 
 This layer sits between the backend registry and every consumer of
-evaluation results (figures, tables, sweeps, benchmarks, CLI):
+evaluation results (figures, tables, sweeps, benchmarks, the CLI and
+the serving daemon):
 
 ``RunRequest``
     What to run: algorithm, dataset key, the participating backends with
@@ -27,9 +29,19 @@ evaluation results (figures, tables, sweeps, benchmarks, CLI):
        the GIL (requests, backends, and :class:`CellResult` are all
        picklable by construction).
 
+    Resilience is a policy of the same class, not a subclass: a
+    :class:`~repro.harness.resilience.RetryPolicy` sets the attempt
+    budget and the per-attempt deadline, a broken process pool degrades
+    the unfinished cells process → thread → serial, and a
+    :class:`~repro.harness.resilience.RunManifest` journals finished
+    cells for resume.  Without a policy a cell gets one attempt and no
+    deadline.  Every tier runs a cell through the same attempt loop —
+    process workers included — so a deadline always counts from the
+    start of the attempt.
+
 Cell execution is deterministic and cells are independent, so a
-``jobs=4`` matrix -- thread or process -- produces bit-identical
-``RunReport`` JSON to a serial run.
+``jobs=4`` matrix -- thread or process, retried or degraded -- produces
+bit-identical ``RunReport`` JSON to a serial run.
 """
 
 from __future__ import annotations
@@ -40,8 +52,11 @@ import json
 import os
 import tempfile
 import threading
+import time
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Callable,
     Dict,
@@ -77,6 +92,13 @@ from ..vcpm.partitioned import (
     run_vcpm_partitioned,
     scatter_shard_task,
 )
+from .faults import CellFaultPlan, FaultInjector
+from .resilience import (
+    CellTimeoutError,
+    ResilienceWarning,
+    RetryPolicy,
+    RunManifest,
+)
 
 __all__ = [
     "REAL_WORLD_KEYS",
@@ -84,6 +106,7 @@ __all__ = [
     "CacheStoreWarning",
     "CellExecutionError",
     "CellResult",
+    "ResilientRunService",
     "RunRequest",
     "RunService",
     "canonical_reports_json",
@@ -93,6 +116,17 @@ __all__ = [
 
 #: The six real-world columns of every evaluation figure.
 REAL_WORLD_KEYS: Tuple[str, ...] = ("FR", "PK", "LJ", "HO", "IN", "OR")
+
+#: The policy of a service constructed without one: a single attempt,
+#: no deadline.
+_ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+
+#: Degradation order per requested executor.
+_TIER_ORDER: Dict[str, Tuple[str, ...]] = {
+    "process": ("process", "thread", "serial"),
+    "thread": ("thread", "serial"),
+    "serial": ("serial",),
+}
 
 
 @dataclasses.dataclass
@@ -128,34 +162,40 @@ def default_backends(
     ]
 
 
-def _cell_in_subprocess(
+def _runs_in_parent(graph_key: str) -> bool:
+    """Whether a cell (and its shards) must run in this process.
+
+    Dynamic graphs live only in this process's registry, so a worker
+    process cannot load them; they run in the parent instead, which
+    yields the same bytes.
+    """
+    return datasets.is_dynamic(graph_key)
+
+
+def _cell_worker(
     backends: Sequence[Backend],
-    algorithm: str,
-    graph_key: str,
-    source: int,
-    storage: str = "memory",
-    shards: int = 1,
-) -> "CellResult":
+    request: RunRequest,
+    policy: RetryPolicy,
+    plan: Optional[CellFaultPlan],
+) -> Tuple["CellResult", int, int]:
     """Worker entry point for ``executor="process"`` matrix fan-out.
 
     Module-level so :mod:`concurrent.futures` can pickle it by
-    reference; the graph is (re)built inside the worker from the dataset
-    registry (honouring the storage backend), which is deterministic, so
-    the returned :class:`CellResult` is identical to an in-process
-    execution.  Shards execute in-process inside the worker — the matrix
-    already owns the process pool, and nesting pools per cell would
-    oversubscribe it; the sharded *reduction structure* (and hence the
-    byte-identical result) is preserved either way.
+    reference.  A cacheless service in the worker runs the same attempt
+    loop a parent-side cell runs: the cell's fault plan, the per-attempt
+    deadline and the retries.  The graph is (re)built inside the worker
+    from the dataset registry, which is deterministic, so the returned
+    :class:`CellResult` is identical to an in-process execution.  Shards
+    run in-process: the matrix already owns the process pool.
+
+    Returns ``(cell, retries, timeouts)`` so the parent can account the
+    recovery actions taken out of process.  A ``kill`` plan calls
+    ``os._exit``, which the parent sees as ``BrokenProcessPool`` and
+    handles by degrading the executor tier.
     """
-    graph = datasets.load(graph_key, storage=storage)
-    return execute_cell(
-        graph,
-        algorithm,
-        graph_key=graph_key,
-        source=source,
-        backends=backends,
-        shards=shards,
-    )
+    service = RunService(backends, use_cache=False, policy=policy, faults=plan)
+    cell = service._run_cell(request)
+    return cell, service.stats.retries, service.stats.timeouts
 
 
 def _shard_scatter_in_subprocess(task: ShardScatterTask) -> np.ndarray:
@@ -282,9 +322,9 @@ class CacheStoreWarning(RuntimeWarning):
 class CellExecutionError(RuntimeError):
     """One (algorithm, graph) cell failed for good.
 
-    Raised by :meth:`RunService.matrix` (and the resilience layer once
-    its retries are exhausted) so callers always learn *which* cell of
-    the matrix died, not just the underlying exception.
+    Raised by :meth:`RunService.matrix` and, once the retry policy is
+    exhausted, by :meth:`RunService.cell`, so callers always learn
+    *which* cell of the matrix died, not just the underlying exception.
     """
 
     def __init__(
@@ -296,6 +336,7 @@ class CellExecutionError(RuntimeError):
     ) -> None:
         self.algorithm = algorithm
         self.graph_key = graph_key
+        self.detail = detail
         self.attempts = attempts
         message = f"matrix cell ({algorithm}, {graph_key}) failed"
         if attempts > 1:
@@ -303,6 +344,25 @@ class CellExecutionError(RuntimeError):
         if detail:
             message += f": {detail}"
         super().__init__(message)
+
+    def __reduce__(self):
+        # Raised inside process workers: rebuild from the fields, not
+        # from the formatted message.
+        return (
+            type(self),
+            (self.algorithm, self.graph_key, self.detail, self.attempts),
+        )
+
+
+class _TierFailure(Exception):
+    """A whole executor tier died; carry the unfinished cells onward."""
+
+    def __init__(
+        self, remaining: List[Tuple[str, str]], cause: BaseException
+    ) -> None:
+        super().__init__(f"{len(remaining)} cells unfinished: {cause!r}")
+        self.remaining = remaining
+        self.cause = cause
 
 
 def canonical_reports_json(cells: Sequence["CellResult"]) -> str:
@@ -329,32 +389,6 @@ def canonical_reports_json(cells: Sequence["CellResult"]) -> str:
     )
 
 
-def _await_cell_futures(
-    futures: "Dict[Future, Tuple[str, str]]",
-    on_done: Optional[Callable[[Tuple[str, str]], None]] = None,
-) -> None:
-    """Drain cell futures; on failure cancel the rest and name the cell.
-
-    Without the cancellation, an early ``future.result()`` raising would
-    leak every queued cell: the pool's ``__exit__`` waits for them all
-    to run to completion before the exception propagates.
-    """
-    for future in list(futures):
-        try:
-            future.result()
-        except BaseException as exc:
-            for pending in futures:
-                pending.cancel()
-            if isinstance(exc, CellExecutionError):
-                raise
-            algorithm, graph_key = futures[future]
-            raise CellExecutionError(
-                algorithm, graph_key, detail=repr(exc)
-            ) from exc
-        if on_done is not None:
-            on_done(futures[future])
-
-
 def _functional_to_dict(result: VCPMResult) -> Dict[str, object]:
     return {
         "algorithm": result.algorithm,
@@ -377,8 +411,24 @@ def _functional_from_dict(data: Dict[str, object]) -> VCPMResult:
     )
 
 
+def _write_atomically(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file + rename; raises OSError."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)  # atomic under concurrent writers
+    except OSError:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
 class RunService:
-    """Cached, parallel executor of the evaluation matrix.
+    """Cached, parallel, fault-tolerant executor of the evaluation matrix.
 
     Args:
         backends: explicit backend instances; defaults to one instance of
@@ -401,6 +451,18 @@ class RunService:
             ``executor="process"`` shards of a parent-side cell fan out
             across a process pool.  Results are byte-identical for every
             storage × shards combination.
+        policy: the :class:`RetryPolicy` (attempts, backoff, per-attempt
+            deadline) of every cell and cache store; ``None`` means one
+            attempt and no deadline.
+        faults: optional :class:`~repro.harness.faults.FaultInjector`
+            for deterministic failure drills.
+        manifest_path: checkpoint journal location; every completed cell
+            is recorded there during :meth:`matrix`.
+        resume: when True and ``manifest_path`` exists, continue that
+            sweep — its header supplies the matrix shape if the caller
+            passes none, and completed cells replay from the persistent
+            cache instead of re-executing.
+        sleep: injectable backoff sleeper (tests pass a no-op).
     """
 
     def __init__(
@@ -415,6 +477,11 @@ class RunService:
         executor: str = "thread",
         storage: str = "memory",
         shards: int = 1,
+        policy: Optional[RetryPolicy] = None,
+        faults: Optional[FaultInjector] = None,
+        manifest_path: Optional[str] = None,
+        resume: bool = False,
+        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if executor not in ("thread", "process"):
             raise ValueError(
@@ -442,7 +509,13 @@ class RunService:
         )
         self.use_cache = use_cache
         self.jobs = max(int(jobs), 1)
+        self.policy = policy or _ONE_ATTEMPT
+        self.faults = faults
+        self.manifest_path = manifest_path
+        self.resume = resume
         self.stats = CacheStats()
+        self._sleep = sleep
+        self._manifest: Optional[RunManifest] = None
         self._cells: Dict[Tuple[str, str], CellResult] = {}
         self._lock = threading.Lock()
 
@@ -604,30 +677,57 @@ class RunService:
     def _write_envelope(self, path: str, envelope: Dict[str, object]) -> None:
         """Atomically write one cache envelope; raises ``OSError``.
 
-        Overridden by the resilience layer to add fault-injection hooks
-        and bounded store retries.
+        Failed writes are retried under the policy's attempt budget; the
+        fault injector's store hooks bracket every attempt.
         """
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                # json.dumps takes the C encoder; json.dump never does.
-                handle.write(json.dumps(envelope))
-            os.replace(tmp_path, path)  # atomic under concurrent writers
-        except OSError:
+        # json.dumps takes the C encoder; json.dump never does.
+        text = json.dumps(envelope)
+        attempt = 0
+        while True:
+            attempt += 1
             try:
-                os.unlink(tmp_path)
+                if self.faults is not None:
+                    self.faults.on_store(path)
+                _write_atomically(path, text)
+                if self.faults is not None:
+                    self.faults.after_store(path)
+                return
             except OSError:
-                pass
-            raise
+                if attempt >= self.policy.max_attempts:
+                    raise
+                with self._lock:
+                    self.stats.retries += 1
+                self._sleep(self.policy.delay(attempt, path))
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution: one cell
     # ------------------------------------------------------------------
     def cell(self, algorithm: str, graph_key: str) -> CellResult:
         """Run (or recall) one cell of the evaluation matrix."""
+        key, request, path, cell = self._lookup(algorithm, graph_key)
+        if cell is not None:
+            return cell
+        with get_recorder().span(
+            "service.cell",
+            track="service",
+            algorithm=request.algorithm,
+            graph=graph_key,
+        ):
+            cell = self._run_cell(request)
+        return self._keep(key, request, path, cell)
+
+    def _lookup(
+        self, algorithm: str, graph_key: str
+    ) -> Tuple[
+        Tuple[str, str], Optional[RunRequest], Optional[str], Optional[CellResult]
+    ]:
+        """Serve one requested cell from the memo or the persistent cache.
+
+        Returns ``(memo_key, request, cache_path, cell)`` with ``cell``
+        None on a genuine miss (and ``request`` None on a memo hit).
+        Every executor resolves a caller's request here, so hits count
+        the same in each of them.
+        """
         rec = get_recorder()
         key = self._memo_key(algorithm, graph_key)
         with self._lock:
@@ -636,8 +736,7 @@ class RunService:
                 self.stats.memory_hits += 1
         if cached is not None:
             rec.counter("service.memory_hits").add()
-            return cached
-
+            return key, None, None, cached
         request = self.request_for(algorithm, graph_key)
         path = self._cache_path(request) if self.persistent else None
         if path is not None:
@@ -653,52 +752,99 @@ class RunService:
                     )
                 with self._lock:
                     self.stats.hits += 1
-                    return self._cells.setdefault(key, cell)
+                    return key, request, path, self._cells.setdefault(key, cell)
+        return key, request, path, None
 
-        with rec.span(
-            "service.cell",
-            track="service",
-            algorithm=request.algorithm,
-            graph=graph_key,
-        ):
-            cell = self._run_cell(request)
-        rec.counter("service.misses").add()
+    def _keep(
+        self,
+        key: Tuple[str, str],
+        request: RunRequest,
+        path: Optional[str],
+        cell: CellResult,
+    ) -> CellResult:
+        """Count, persist and memoize one executed miss."""
+        get_recorder().counter("service.misses").add()
         if path is not None:
             self._store_cached(path, request, cell)
         with self._lock:
             self.stats.misses += 1
             return self._cells.setdefault(key, cell)
 
-    def _shard_runner_for(
-        self, request: RunRequest, graph: CSRGraph
-    ) -> Tuple[Optional[ShardRunner], Optional[Tuple[str, str]], Optional[
-        Callable[[], None]
-    ]]:
-        """(runner, graph_ref, cleanup) for one cell's shard fan-out.
-
-        Process fan-out only engages for parent-side cells under
-        ``executor="process"``; otherwise shards run in-process (same
-        reduction structure, same bytes).  The resilience layer wraps the
-        returned runner to drop per-shard checkpoint breadcrumbs.
-        """
-        if (
-            request.shards > 1
-            and self.executor == "process"
-            and not datasets.is_dynamic(request.graph_key)
-        ):
-            # Dynamic graphs live only in this process's registry, so
-            # their shards stay in-process (same bytes either way).
-            runner = _ProcessShardRunner(min(self.jobs, request.shards))
-            return runner, (request.graph_key, request.storage), runner.close
-        return None, None, None
+    def _note(self, stat: str, event: str, **fields: object) -> None:
+        """Count one recovery action in ``stats`` and the recorder."""
+        with self._lock:
+            setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+        rec = get_recorder()
+        if rec.enabled:
+            rec.counter(f"resilience.{stat}").add()
+            rec.event(f"resilience.{event}", track="service", **fields)
 
     def _run_cell(self, request: RunRequest) -> CellResult:
-        """Execute one genuine cache miss.
+        """Execute one genuine cache miss under the retry policy.
 
-        The single seam every cell execution funnels through: the
-        resilience layer overrides this to add fault hooks, per-attempt
-        timeouts, and bounded retries around the same computation.
+        Transient errors are retried with the policy's backoff until the
+        attempt budget is spent, then surface as a
+        :class:`CellExecutionError`; other errors propagate at once.
         """
+        token = f"{request.algorithm}/{request.graph_key}"
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                return self._attempt_cell(request, attempt)
+            except self.policy.transient as exc:
+                if attempt >= self.policy.max_attempts:
+                    raise CellExecutionError(
+                        request.algorithm,
+                        request.graph_key,
+                        detail=repr(exc),
+                        attempts=attempt,
+                    ) from exc
+                self._note(
+                    "retries",
+                    "retry",
+                    cell=token,
+                    attempt=attempt,
+                    error=type(exc).__name__,
+                )
+                self._sleep(self.policy.delay(attempt, token))
+
+    def _attempt_cell(self, request: RunRequest, attempt: int) -> CellResult:
+        """One attempt; the deadline, when set, counts from its start.
+
+        A timed-out attempt runs on in a dedicated thread and is
+        abandoned, never awaited: a wedged attempt cannot be killed, so
+        it must not block the retry either.
+        """
+        if self.policy.timeout is None:
+            return self._attempt_body(request, attempt)
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            future = pool.submit(self._attempt_body, request, attempt)
+            try:
+                return future.result(timeout=self.policy.timeout)
+            except FuturesTimeoutError:
+                future.cancel()
+                self._note(
+                    "timeouts",
+                    "timeout",
+                    cell=f"{request.algorithm}/{request.graph_key}",
+                    attempt=attempt,
+                )
+                raise CellTimeoutError(
+                    f"cell ({request.algorithm}, {request.graph_key}) "
+                    f"attempt {attempt} exceeded {self.policy.timeout}s; "
+                    "attempt abandoned"
+                ) from None
+        finally:
+            pool.shutdown(wait=False)
+
+    def _attempt_body(self, request: RunRequest, attempt: int) -> CellResult:
+        """The fault hook, then the cell's computation."""
+        if self.faults is not None:
+            self.faults.on_cell_start(
+                request.algorithm, request.graph_key, attempt
+            )
         graph = datasets.load(request.graph_key, storage=request.storage)
         runner, graph_ref, cleanup = self._shard_runner_for(request, graph)
         try:
@@ -716,6 +862,53 @@ class RunService:
             if cleanup is not None:
                 cleanup()
 
+    def _shard_runner_for(
+        self, request: RunRequest, graph: CSRGraph
+    ) -> Tuple[Optional[ShardRunner], Optional[Tuple[str, str]], Optional[
+        Callable[[], None]
+    ]]:
+        """(runner, graph_ref, cleanup) for one cell's shard fan-out.
+
+        Process fan-out only engages for parent-side cells under
+        ``executor="process"``; otherwise shards run in-process (same
+        reduction structure, same bytes).  With an open manifest the
+        runner journals per-shard breadcrumbs: the first completion of
+        each shard index is appended, so a killed paper-scale sweep
+        shows how far each cell's shard fan-out progressed.
+        """
+        runner: Optional[ShardRunner] = None
+        graph_ref = cleanup = None
+        if (
+            request.shards > 1
+            and self.executor == "process"
+            and not _runs_in_parent(request.graph_key)
+        ):
+            pool = _ProcessShardRunner(min(self.jobs, request.shards))
+            runner, cleanup = pool, pool.close
+            graph_ref = (request.graph_key, request.storage)
+        manifest = self._manifest
+        if manifest is None or request.shards <= 1:
+            return runner, graph_ref, cleanup
+        base = runner or (
+            lambda tasks: [scatter_shard_task(t, graph) for t in tasks]
+        )
+
+        def marking_runner(tasks):
+            segments = base(tasks)
+            for task in tasks:
+                manifest.mark_shard(
+                    request.algorithm,
+                    request.graph_key,
+                    task.shard_index,
+                    request.shards,
+                )
+            return segments
+
+        return marking_runner, graph_ref, cleanup
+
+    # ------------------------------------------------------------------
+    # Execution: the matrix (executor tiers + checkpointing)
+    # ------------------------------------------------------------------
     def matrix(
         self,
         algorithms: Optional[Sequence[str]] = None,
@@ -727,88 +920,193 @@ class RunService:
 
         With ``jobs > 1``, unresolved cells fan out across a thread pool
         (or, with ``executor="process"``, a process pool that bypasses
-        the GIL); results are identical to a serial run (cells are
-        independent and deterministic), only wall-clock changes.
+        the GIL).  When a pool breaks, its unfinished cells degrade
+        process → thread → serial.  Results are identical to a serial
+        run (cells are independent and deterministic); only wall-clock
+        changes.
         """
+        workers = self.jobs if jobs is None else max(int(jobs), 1)
+        executor = self.executor if executor is None else executor
+        manifest = self._open_manifest(algorithms, graph_keys)
+        if manifest is not None:
+            algorithms = list(algorithms) if algorithms else manifest.algorithms
+            graph_keys = list(graph_keys) if graph_keys else manifest.graph_keys
         algorithms = list(algorithms or algorithm_names())
         graph_keys = list(graph_keys or REAL_WORLD_KEYS)
         pairs = [(a, g) for a in algorithms for g in graph_keys]
-        workers = self.jobs if jobs is None else max(int(jobs), 1)
-        executor = self.executor if executor is None else executor
-        if workers > 1 and len(pairs) > 1:
-            unique = list(dict.fromkeys(pairs))
-            if executor == "process":
-                self._resolve_in_processes(unique, workers)
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(self.cell, algorithm, graph_key): (
-                            algorithm,
-                            graph_key,
-                        )
-                        for algorithm, graph_key in unique
-                    }
-                    _await_cell_futures(futures)
-        return [self.cell(a, g) for a, g in pairs]
+        unique = list(dict.fromkeys(pairs))
+        mode = executor if workers > 1 and len(unique) > 1 else "serial"
+        remaining = unique
+        for tier in _TIER_ORDER[mode]:
+            if not remaining:
+                break
+            try:
+                self._run_tier(tier, remaining, workers, manifest)
+                remaining = []
+            except _TierFailure as failure:
+                remaining = failure.remaining
+                self._note(
+                    "degradations",
+                    "degradation",
+                    tier=tier,
+                    remaining=len(remaining),
+                )
+                warnings.warn(
+                    f"executor tier {tier!r} broke ({failure.cause!r}); "
+                    f"degrading {len(remaining)} unfinished cells to the "
+                    "next tier",
+                    ResilienceWarning,
+                    stacklevel=2,
+                )
+        # Collect from the memo directly: the tiers above served every
+        # request, and collecting is not a request of its own.
+        keys = [self._memo_key(a, g) for a, g in pairs]
+        with self._lock:
+            return [self._cells[key] for key in keys]
 
     #: The hand-coded matrix path under the name the planner-equivalence
     #: battery compares against (``spec path == run_matrix path``).
     run_matrix = matrix
 
-    def _resolve_in_processes(
-        self, pairs: Sequence[Tuple[str, str]], workers: int
-    ) -> None:
-        """Execute unresolved cells in a process pool, then memoize.
+    def _open_manifest(
+        self,
+        algorithms: Optional[Sequence[str]],
+        graph_keys: Optional[Sequence[str]],
+    ) -> Optional[RunManifest]:
+        if not self.manifest_path:
+            return None
+        if self._manifest is not None:
+            return self._manifest
+        if self.resume and os.path.exists(self.manifest_path):
+            self._manifest = RunManifest.load(self.manifest_path)
+        else:
+            self._manifest = RunManifest.start(
+                self.manifest_path,
+                list(algorithms or algorithm_names()),
+                list(graph_keys or REAL_WORLD_KEYS),
+            )
+        return self._manifest
 
-        The memo and persistent-cache tiers are consulted in the parent
-        first, so worker processes only ever run genuine cache misses;
-        finished cells are stored exactly as the serial path stores them.
+    def _mark(
+        self,
+        manifest: Optional[RunManifest],
+        algorithm: str,
+        graph_key: str,
+    ) -> None:
+        if manifest is None or manifest.is_completed(algorithm, graph_key):
+            return
+        manifest.mark(
+            algorithm,
+            graph_key,
+            cache_key=self.cache_key(self.request_for(algorithm, graph_key)),
+        )
+
+    def _run_tier(
+        self,
+        tier: str,
+        pairs: List[Tuple[str, str]],
+        workers: int,
+        manifest: Optional[RunManifest],
+    ) -> None:
+        if tier == "process":
+            self._run_tier_process(pairs, workers, manifest)
+        elif tier == "thread":
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = {
+                    pool.submit(self.cell, algorithm, graph_key): (
+                        algorithm,
+                        graph_key,
+                    )
+                    for algorithm, graph_key in pairs
+                }
+                # On failure cancel the queued cells and name the failed
+                # one; otherwise the pool's __exit__ would run every
+                # queued cell before the exception propagates.
+                for future, (algorithm, graph_key) in futures.items():
+                    try:
+                        future.result()
+                    except BaseException as exc:
+                        for pending in futures:
+                            pending.cancel()
+                        if isinstance(exc, Exception) and not isinstance(
+                            exc, CellExecutionError
+                        ):
+                            raise CellExecutionError(
+                                algorithm, graph_key, detail=repr(exc)
+                            ) from exc
+                        raise
+                    self._mark(manifest, algorithm, graph_key)
+        else:
+            for algorithm, graph_key in pairs:
+                self.cell(algorithm, graph_key)
+                self._mark(manifest, algorithm, graph_key)
+
+    def _run_tier_process(
+        self,
+        pairs: List[Tuple[str, str]],
+        workers: int,
+        manifest: Optional[RunManifest],
+    ) -> None:
+        """Process tier: parent-side caches, worker-side attempt loops.
+
+        Raises :class:`_TierFailure` carrying the unfinished cells when
+        the pool itself breaks (e.g. a worker died with ``os._exit``),
+        so :meth:`matrix` can degrade instead of aborting the sweep.
         """
-        pending: List[Tuple[Tuple[str, str], RunRequest, Optional[str]]] = []
+        pending = []
         for algorithm, graph_key in pairs:
-            if datasets.is_dynamic(graph_key):
-                # A worker process cannot see this process's dynamic
-                # registrations; the cell runs in-parent on the serial
-                # pass that follows the fan-out.
+            if _runs_in_parent(graph_key):
+                self.cell(algorithm, graph_key)
+                self._mark(manifest, algorithm, graph_key)
                 continue
-            key = self._memo_key(algorithm, graph_key)
-            with self._lock:
-                if key in self._cells:
-                    continue
-            request = self.request_for(algorithm, graph_key)
-            path = self._cache_path(request) if self.persistent else None
-            if path is not None:
-                cached = self._load_cached(path, request)
-                if cached is not None:
-                    with self._lock:
-                        self.stats.hits += 1
-                        self._cells.setdefault(key, cached)
-                    continue
-            pending.append((key, request, path))
+            key, request, path, cell = self._lookup(algorithm, graph_key)
+            if cell is not None:
+                self._mark(manifest, algorithm, graph_key)
+                continue
+            plan = (
+                self.faults.plan_for(request.algorithm, graph_key)
+                if self.faults is not None
+                else None
+            )
+            pending.append((algorithm, graph_key, key, request, path, plan))
         if not pending:
             return
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             futures = [
-                (
-                    pool.submit(
-                        _cell_in_subprocess,
-                        self.backends,
-                        request.algorithm,
-                        request.graph_key,
-                        request.source,
-                        request.storage,
-                        request.shards,
-                    ),
-                    key,
+                pool.submit(
+                    _cell_worker,
+                    self.backends,
                     request,
-                    path,
+                    self.policy,
+                    plan or None,
                 )
-                for key, request, path in pending
+                for _, _, _, request, _, plan in pending
             ]
-            for future, key, request, path in futures:
-                cell = future.result()
-                if path is not None:
-                    self._store_cached(path, request, cell)
+            for index, future in enumerate(futures):
+                algorithm, graph_key, key, request, path, _ = pending[index]
+                try:
+                    cell, retries, timeouts = future.result()
+                except BrokenProcessPool as exc:
+                    raise _TierFailure(
+                        [(a, g) for a, g, *_ in pending[index:]], exc
+                    ) from exc
+                except CellExecutionError:
+                    raise
+                except Exception as exc:
+                    raise CellExecutionError(
+                        algorithm, graph_key, detail=repr(exc)
+                    ) from exc
                 with self._lock:
-                    self.stats.misses += 1
-                    self._cells.setdefault(key, cell)
+                    self.stats.retries += retries
+                    self.stats.timeouts += timeouts
+                self._keep(key, request, path, cell)
+                self._mark(manifest, algorithm, graph_key)
+        finally:
+            # wait=False: a dead worker must not block shutdown.
+            pool.shutdown(wait=False, cancel_futures=True)
+
+
+#: Kept so code written against the resilient subclass's name (which
+#: took the same arguments) runs unchanged.
+ResilientRunService = RunService

@@ -3,6 +3,7 @@ fault-injection battery for the resilience layer (injected crashes,
 hangs, dead workers, flaky/corrupt cache stores, checkpoint/resume),
 asserting every recovery path converges to byte-identical reports."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -325,6 +326,80 @@ class TestStoreFaults:
         assert canonical_reports_json(cells) == clean_reports_json
         assert replay.stats.misses == 1
         assert replay.stats.hits == 1
+
+
+
+#: Serial, thread and process executors of the two-cell battery matrix.
+_EXECUTORS = pytest.mark.parametrize(
+    "jobs,executor",
+    [(1, "thread"), (2, "thread"), (2, "process")],
+    ids=["serial", "thread", "process"],
+)
+
+
+class TestOneExecutionPath:
+    """Every executor tier means the same thing by a deadline, a hit, and
+    the default (absent) policy."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_deadline_counts_from_attempt_start(
+        self, clean_reports_json, executor
+    ):
+        # Both hangs start together.  The 1.2 s one fits the 2 s
+        # deadline; the 2.8 s one does not, however long the other cell
+        # took before it.
+        service = RunService(
+            use_cache=False,
+            jobs=2,
+            executor=executor,
+            policy=RetryPolicy(max_attempts=3, timeout=2.0),
+            faults=FaultInjector(
+                [FaultSpec("hang", 1, 1, 1.2), FaultSpec("hang", 2, 1, 2.8)]
+            ),
+            sleep=_no_sleep,
+        )
+        cells = service.matrix(_ALGOS, _GRAPHS)
+        assert canonical_reports_json(cells) == clean_reports_json
+        assert service.stats.timeouts == 1
+        assert service.stats.retries == 1
+
+    @pytest.mark.parametrize(
+        "faults,policy", [(None, None), (["crash:1"], _FAST)],
+        ids=["clean", "crash"],
+    )
+    def test_stats_are_equal_across_executors(self, faults, policy):
+        runs = []
+        for jobs, executor in [(1, "thread"), (2, "thread"), (2, "process")]:
+            service = RunService(
+                use_cache=False,
+                jobs=jobs,
+                executor=executor,
+                policy=policy,
+                faults=FaultInjector(faults) if faults else None,
+                sleep=_no_sleep,
+            )
+            service.matrix(_ALGOS, _GRAPHS)
+            first = dataclasses.asdict(service.stats)
+            service.matrix(_ALGOS, _GRAPHS)  # every request a memo hit
+            runs.append((first, dataclasses.asdict(service.stats)))
+        assert runs[0] == runs[1] == runs[2]
+        first, second = runs[0]
+        assert (first["misses"], first["memory_hits"]) == (2, 0)
+        assert (second["misses"], second["memory_hits"]) == (2, 2)
+        assert first["retries"] == (1 if faults else 0)
+
+    @_EXECUTORS
+    def test_no_policy_means_one_attempt(self, jobs, executor):
+        service = RunService(
+            use_cache=False,
+            jobs=jobs,
+            executor=executor,
+            faults=FaultInjector(["crash:1"]),
+        )
+        with pytest.raises(CellExecutionError) as excinfo:
+            service.matrix(_ALGOS, _GRAPHS)
+        assert excinfo.value.attempts == 1
+        assert service.stats.retries == 0
 
 
 class TestCheckpointResume:
