@@ -7,7 +7,9 @@ trace of insert-only batches, and every batch is recomputed twice —
 once through :func:`repro.vcpm.run_vcpm_incremental` (frontier deltas
 seeded from the inserted-edge sources) and once through the retained
 full-rerun reference.  The ratio of those times is the speedup column;
-the *bit-identity* of their property arrays is the correctness gate::
+the *bit-identity* of their property arrays is the correctness gate.
+``apply_s`` is the time spent mutating the graph itself
+(``DynamicGraph.apply``), which a user pays on every batch as well::
 
     PYTHONPATH=src python benchmarks/bench_dynamic.py              # RM22
     PYTHONPATH=src python benchmarks/bench_dynamic.py --quick --check
@@ -65,6 +67,7 @@ def bench_cell(
 
     previous = run_vcpm(dynamic.graph, spec, source=0)
     stats = ChurnStats()
+    apply_s = 0.0
     incremental_s = 0.0
     full_s = 0.0
     bit_identical = True
@@ -75,7 +78,9 @@ def bench_cell(
         insert_fraction=insert_fraction,
         seed=seed,
     ):
+        start = time.perf_counter()
         dynamic.apply(batch)
+        apply_s += time.perf_counter() - start
         stats.record_batch(batch)
 
         start = time.perf_counter()
@@ -110,6 +115,7 @@ def bench_cell(
         "edges_deleted": stats.edges_deleted,
         "delta_iterations": stats.delta_iterations,
         "full_iterations": stats.full_iterations,
+        "apply_s": round(apply_s, 6),
         "incremental_s": round(incremental_s, 6),
         "full_rerun_s": round(full_s, 6),
         "speedup": (
@@ -193,6 +199,7 @@ def main(argv=None) -> int:
             f"{e['dataset']}  {e['algorithm']:<5} "
             f"rate={e['churn_rate']:<6} "
             f"delta {e['delta_runs']}/{e['delta_runs'] + e['full_runs']}  "
+            f"apply {e['apply_s'] * 1e3:9.2f} ms  "
             f"incr {e['incremental_s'] * 1e3:9.2f} ms  "
             f"full {e['full_rerun_s'] * 1e3:9.2f} ms  {speedup}  "
             f"{'bit-identical' if e['bit_identical'] else 'DIVERGED'}"

@@ -10,11 +10,15 @@ SNIPPETS.md snippet 2).
 
 Three invariants make the rest of the platform sound as graphs mutate:
 
-* **Canonical edge order.**  After every mutation the snapshot's edges
-  are re-sorted into the canonical ``(src, dst, weight)`` order, so the
-  CSR arrays are a pure function of the edge *multiset*.  Applying a
-  batch and then its :meth:`EdgeBatch.inverse` therefore restores the
-  exact original arrays — and the exact original fingerprint.
+* **Canonical edge order.**  The snapshot's edges are kept in the
+  canonical ``(src, dst, weight)`` order: the constructor sorts them
+  once, and every batch is sorted on its own and *merged* into the
+  existing arrays (``searchsorted`` positions, ``np.delete`` /
+  ``np.insert``), so a mutation costs the size of the batch plus one
+  pass over the arrays, never a re-sort of every edge.  The CSR arrays
+  stay a pure function of the edge *multiset*: applying a batch and then
+  its :meth:`EdgeBatch.inverse` restores the exact original arrays —
+  and the exact original fingerprint.
 * **Content fingerprints, invalidated by generation.**  Each snapshot
   carries a sha256 of its arrays, recomputed exactly when the generation
   advances (never per read).  ``datasets.fingerprint()`` folds it into
@@ -94,6 +98,9 @@ class EdgeBatch:
         deletes: ``(M, 2)`` int64 array of ``(src, dst)`` pairs to remove.
         delete_weights: ``(M,)`` float32 weights identifying the removed
             edges (one matching occurrence is removed per entry).
+
+    Weights must not be NaN: a NaN weight equals no weight, itself
+    included, so it could neither identify an edge nor sort canonically.
     """
 
     inserts: np.ndarray
@@ -110,6 +117,9 @@ class EdgeBatch:
             raise DynamicGraphError("insert_weights must be parallel to inserts")
         if del_w.shape != (deletes.shape[0],):
             raise DynamicGraphError("delete_weights must be parallel to deletes")
+        for weights, what in ((ins_w, "insert_weights"), (del_w, "delete_weights")):
+            if np.isnan(weights).any():
+                raise DynamicGraphError(f"{what} must not contain NaN")
         object.__setattr__(self, "inserts", inserts)
         object.__setattr__(self, "insert_weights", ins_w)
         object.__setattr__(self, "deletes", deletes)
@@ -201,7 +211,11 @@ def _canonical_csr(
     weights: np.ndarray,
     name: str,
 ) -> CSRGraph:
-    """CSR in canonical ``(src, dst, weight)`` lexicographic edge order."""
+    """CSR in canonical ``(src, dst, weight)`` lexicographic edge order.
+
+    Sorts every edge; used once per :class:`DynamicGraph`, whose input
+    order is arbitrary.  Batches are merged by :func:`_merge_batch`.
+    """
     order = np.lexsort((weights, dst, src))
     src = src[order]
     dst = dst[order]
@@ -221,57 +235,121 @@ def _content_fingerprint(graph: CSRGraph) -> str:
     return h.hexdigest()[:16]
 
 
-def _remove_multiset(
-    src: np.ndarray,
-    dst: np.ndarray,
+def _run_search(
     weights: np.ndarray,
-    del_pairs: np.ndarray,
-    del_weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Remove one matching occurrence per delete triple (vectorized).
+    lo: np.ndarray,
+    hi: np.ndarray,
+    values: np.ndarray,
+    side: str,
+) -> np.ndarray:
+    """``searchsorted(weights[lo[i]:hi[i]], values[i], side)`` for every i.
+
+    Each ``weights[lo[i]:hi[i]]`` is one ascending run of equal
+    ``(src, dst)``.  One vectorized bisection step serves every query at
+    once, so the loop runs ``ceil(log2(longest run + 1))`` times.
+    Requires NaN-free weights (:class:`EdgeBatch` rejects NaN).
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    open_ = np.flatnonzero(lo < hi)
+    while open_.size:
+        mid = (lo[open_] + hi[open_]) // 2
+        if side == "left":
+            below = weights[mid] < values[open_]
+        else:
+            below = weights[mid] <= values[open_]
+        lo[open_] = np.where(below, mid + 1, lo[open_])
+        hi[open_] = np.where(below, hi[open_], mid)
+        open_ = open_[lo[open_] < hi[open_]]
+    return lo
+
+
+def _row_runs(
+    row_keys: np.ndarray, pairs: np.ndarray, num_vertices: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``[lo, hi)`` of the canonical edges equal to each ``(src, dst)``."""
+    keys = pairs[:, 0] * num_vertices + pairs[:, 1]
+    return (
+        np.searchsorted(row_keys, keys, side="left"),
+        np.searchsorted(row_keys, keys, side="right"),
+    )
+
+
+def _merge_batch(graph: CSRGraph, batch: EdgeBatch, name: str) -> CSRGraph:
+    """``graph`` minus the batch deletes plus its inserts, in canonical order.
+
+    ``graph`` is already canonical, so only the batch is sorted; each
+    triple is found by ``searchsorted`` on the int64 row key
+    ``src * V + dst`` (exact for V <= 3.0e9) and the weight tie-break is
+    resolved inside the run of equal ``(src, dst)``.  The r-th copy of a
+    repeated delete triple removes the r-th occurrence; inserts go to the
+    right of equal triples, in batch order.  The result is byte-identical
+    to a stable lexsort of the surviving and inserted edges.
 
     Raises:
         DynamicGraphError: a delete names more occurrences of a triple
             than the graph holds.
     """
-    order = np.lexsort((weights, dst, src))
-    s_s, s_d, s_w = src[order], dst[order], weights[order]
+    num_vertices = graph.num_vertices
+    dst = graph.edges
+    wts = graph.weights
+    # Built in place: one E-length temporary, not two.
+    row_keys = graph.edge_sources()
+    row_keys *= num_vertices
+    row_keys += dst
+    degree_change = np.zeros(num_vertices, dtype=np.int64)
 
-    dorder = np.lexsort((del_weights, del_pairs[:, 1], del_pairs[:, 0]))
-    d_s = del_pairs[dorder, 0]
-    d_d = del_pairs[dorder, 1]
-    d_w = del_weights[dorder]
-
-    keep = np.ones(src.size, dtype=bool)
-    i = 0
-    while i < d_s.size:
-        j = i
-        while (
-            j + 1 < d_s.size
-            and d_s[j + 1] == d_s[i]
-            and d_d[j + 1] == d_d[i]
-            and d_w[j + 1] == d_w[i]
-        ):
-            j += 1
-        count = j - i + 1
-        # Range of matching edges in the sorted triple arrays.
-        lo = int(np.searchsorted(s_s, d_s[i], side="left"))
-        hi = int(np.searchsorted(s_s, d_s[i], side="right"))
-        seg_d = s_d[lo:hi]
-        d_lo = lo + int(np.searchsorted(seg_d, d_d[i], side="left"))
-        d_hi = lo + int(np.searchsorted(seg_d, d_d[i], side="right"))
-        seg_w = s_w[d_lo:d_hi]
-        w_lo = d_lo + int(np.searchsorted(seg_w, d_w[i], side="left"))
-        w_hi = d_lo + int(np.searchsorted(seg_w, d_w[i], side="right"))
-        available = w_hi - w_lo
-        if available < count:
+    removed = np.zeros(0, dtype=np.int64)
+    if batch.num_deletes:
+        order = np.lexsort(
+            (batch.delete_weights, batch.deletes[:, 1], batch.deletes[:, 0])
+        )
+        pairs = batch.deletes[order]
+        values = batch.delete_weights[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (
+            (pairs[1:, 0] != pairs[:-1, 0])
+            | (pairs[1:, 1] != pairs[:-1, 1])
+            | (values[1:] != values[:-1])
+        )
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        rank = np.arange(order.size) - starts[group]
+        run_lo, run_hi = _row_runs(row_keys, pairs, num_vertices)
+        lo = _run_search(wts, run_lo, run_hi, values, "left")
+        hi = _run_search(wts, run_lo, run_hi, values, "right")
+        # Ascends (groups sort like the canonical arrays and a group's
+        # slots are consecutive), as the insert-slot shift below needs.
+        removed = lo + rank
+        short = np.flatnonzero(removed >= hi)
+        if short.size:
+            i = starts[group[short[0]]]
+            count = int(np.count_nonzero(group == group[i]))
             raise DynamicGraphError(
-                f"cannot delete edge ({int(d_s[i])}, {int(d_d[i])}, "
-                f"{float(d_w[i])}): {count} requested, {available} present"
+                f"cannot delete edge ({int(pairs[i, 0])}, {int(pairs[i, 1])}, "
+                f"{float(values[i])}): {count} requested, "
+                f"{int(hi[i] - lo[i])} present"
             )
-        keep[order[w_lo:w_lo + count]] = False
-        i = j + 1
-    return src[keep], dst[keep], weights[keep]
+        dst = np.delete(dst, removed)
+        wts = np.delete(wts, removed)
+        degree_change -= np.bincount(pairs[:, 0], minlength=num_vertices)
+
+    if batch.num_inserts:
+        order = np.lexsort(
+            (batch.insert_weights, batch.inserts[:, 1], batch.inserts[:, 0])
+        )
+        pairs = batch.inserts[order]
+        values = batch.insert_weights[order]
+        run_lo, run_hi = _row_runs(row_keys, pairs, num_vertices)
+        slots = _run_search(graph.weights, run_lo, run_hi, values, "right")
+        slots -= np.searchsorted(removed, slots, side="left")
+        dst = np.insert(dst, slots, pairs[:, 1])
+        wts = np.insert(wts, slots, values)
+        degree_change += np.bincount(pairs[:, 0], minlength=num_vertices)
+
+    offsets = graph.offsets.copy()
+    offsets[1:] += np.cumsum(degree_change)
+    return CSRGraph(offsets=offsets, edges=dst, weights=wts, name=name)
 
 
 class DynamicGraph:
@@ -341,9 +419,13 @@ class DynamicGraph:
     def apply(self, batch: EdgeBatch) -> np.ndarray:
         """Apply one batch; returns the touched (endpoint) vertex ids.
 
-        Every apply — even of an empty batch — advances the generation
-        by exactly one, rebuilds the canonical snapshot, and refreshes
-        the content fingerprint.
+        The batch is merged into the canonical snapshot: only its own
+        triples are sorted, so the cost is the batch size plus one pass
+        over the arrays.  The new snapshot is byte-identical to sorting
+        the resulting edge multiset from scratch.  Every apply — even of
+        an empty batch — advances the generation by exactly one and
+        refreshes the content fingerprint.  A failing apply changes
+        nothing.
 
         Raises:
             DynamicGraphError: an endpoint is out of range or a delete
@@ -359,18 +441,7 @@ class DynamicGraph:
                     raise DynamicGraphError(
                         f"{what} endpoint out of range for V={num_vertices}"
                     )
-            src = graph.edge_sources()
-            dst = np.asarray(graph.edges)
-            wts = np.asarray(graph.weights)
-            if batch.num_deletes:
-                src, dst, wts = _remove_multiset(
-                    src, dst, wts, batch.deletes, batch.delete_weights
-                )
-            if batch.num_inserts:
-                src = np.concatenate([src, batch.inserts[:, 0]])
-                dst = np.concatenate([dst, batch.inserts[:, 1]])
-                wts = np.concatenate([wts, batch.insert_weights])
-            self._graph = _canonical_csr(num_vertices, src, dst, wts, self.key)
+            self._graph = _merge_batch(graph, batch, self.key)
             self._generation += 1
             self._content_fp = _content_fingerprint(self._graph)
             self.history.append(batch.digest())
@@ -405,6 +476,29 @@ class DynamicGraph:
 # ----------------------------------------------------------------------
 # Deterministic churn traces
 # ----------------------------------------------------------------------
+def _swap_remove_fill(
+    size: int, victims: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Swap-remove of ascending ``victims``, largest first, as index arrays.
+
+    Overwriting each victim with the current last element and popping
+    leaves ``arr[:size - len(victims)]`` equal to the original array with
+    ``arr[holes] = arr[movers]`` applied.  The holes are the victims
+    below the new length.  The tail above it first swap-removes its own
+    victims, which permutes it (a short loop: about ``n**2 / size`` of
+    ``n`` victims land there); its survivors then fill the holes in
+    ascending order.
+    """
+    length = size - victims.size
+    split = int(np.searchsorted(victims, length))
+    tail = np.arange(length, size)
+    end = tail.size
+    for victim in victims[split:][::-1] - length:
+        end -= 1
+        tail[victim] = tail[end]
+    return victims[:split], tail[:end]
+
+
 def churn_batches(
     graph: CSRGraph,
     num_batches: int,
@@ -430,26 +524,26 @@ def churn_batches(
         raise DynamicGraphError("insert_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     num_vertices = graph.num_vertices
-    src = list(graph.edge_sources())
-    dst = list(graph.edges)
-    wts = list(np.asarray(graph.weights))
+    # Private copies: victims are swap-removed in place.
+    src = graph.edge_sources()
+    dst = np.array(graph.edges)
+    wts = np.array(graph.weights)
     for _ in range(num_batches):
         n_ins = int(round(batch_edges * insert_fraction))
-        n_del = min(batch_edges - n_ins, len(src))
+        n_del = min(batch_edges - n_ins, src.size)
         deletes = np.zeros((n_del, 2), dtype=np.int64)
         delete_weights = np.zeros(n_del, dtype=np.float32)
         if n_del:
-            victims = rng.choice(len(src), size=n_del, replace=False)
-            for out, idx in enumerate(sorted(victims, reverse=True)):
-                deletes[out, 0] = src[idx]
-                deletes[out, 1] = dst[idx]
-                delete_weights[out] = wts[idx]
-                src[idx] = src[-1]
-                dst[idx] = dst[-1]
-                wts[idx] = wts[-1]
-                src.pop()
-                dst.pop()
-                wts.pop()
+            victims = np.sort(rng.choice(src.size, size=n_del, replace=False))
+            removal_order = victims[::-1]
+            deletes[:, 0] = src[removal_order]
+            deletes[:, 1] = dst[removal_order]
+            delete_weights[:] = wts[removal_order]
+            length = src.size - n_del
+            holes, movers = _swap_remove_fill(src.size, victims)
+            for arr in (src, dst, wts):
+                arr[holes] = arr[movers]
+            src, dst, wts = src[:length], dst[:length], wts[:length]
         inserts = np.zeros((n_ins, 2), dtype=np.int64)
         insert_weights = np.zeros(n_ins, dtype=np.float32)
         if n_ins and num_vertices:
@@ -458,10 +552,9 @@ def churn_batches(
             insert_weights[:] = rng.integers(
                 1, max_weight + 1, size=n_ins
             ).astype(np.float32)
-            for k in range(n_ins):
-                src.append(np.int64(inserts[k, 0]))
-                dst.append(np.int64(inserts[k, 1]))
-                wts.append(np.float32(insert_weights[k]))
+            src = np.concatenate([src, inserts[:, 0]])
+            dst = np.concatenate([dst, inserts[:, 1]])
+            wts = np.concatenate([wts, insert_weights])
         yield EdgeBatch(inserts, insert_weights, deletes, delete_weights)
 
 

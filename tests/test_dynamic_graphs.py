@@ -11,6 +11,11 @@ over randomized graphs and churn traces:
 * **Content addressing** — applying a batch and then its inverse
   restores the original CSR arrays byte-for-byte, hence the original
   content fingerprint; edge-list input order never affects either.
+
+``DynamicGraph.apply`` merges each batch into the canonical arrays and
+``churn_batches`` tracks the evolving multiset in arrays; both are held
+byte-identical to the straightforward versions kept below as oracles (a
+full lexsort rebuild, and swap-remove over Python lists).
 """
 
 import numpy as np
@@ -34,6 +39,123 @@ from repro.vcpm.incremental import (
 )
 
 MONOTONE_ALGORITHMS = ["BFS", "SSSP", "CC", "SSWP"]
+
+
+# ----------------------------------------------------------------------
+# Oracles: the rebuild-from-scratch apply and the list-based churn trace
+# ----------------------------------------------------------------------
+def _reference_canonical(num_vertices, src, dst, weights, name):
+    order = np.lexsort((weights, dst, src))
+    src, dst, weights = src[order], dst[order], weights[order]
+    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.add.at(offsets, src + 1, 1)
+    return CSRGraph(
+        offsets=np.cumsum(offsets), edges=dst, weights=weights, name=name
+    )
+
+
+def _reference_remove_multiset(src, dst, weights, del_pairs, del_weights):
+    """Remove one matching occurrence per delete triple."""
+    order = np.lexsort((weights, dst, src))
+    s_s, s_d, s_w = src[order], dst[order], weights[order]
+    dorder = np.lexsort((del_weights, del_pairs[:, 1], del_pairs[:, 0]))
+    d_s = del_pairs[dorder, 0]
+    d_d = del_pairs[dorder, 1]
+    d_w = del_weights[dorder]
+    keep = np.ones(src.size, dtype=bool)
+    i = 0
+    while i < d_s.size:
+        j = i
+        while (
+            j + 1 < d_s.size
+            and d_s[j + 1] == d_s[i]
+            and d_d[j + 1] == d_d[i]
+            and d_w[j + 1] == d_w[i]
+        ):
+            j += 1
+        count = j - i + 1
+        lo = int(np.searchsorted(s_s, d_s[i], side="left"))
+        hi = int(np.searchsorted(s_s, d_s[i], side="right"))
+        seg_d = s_d[lo:hi]
+        d_lo = lo + int(np.searchsorted(seg_d, d_d[i], side="left"))
+        d_hi = lo + int(np.searchsorted(seg_d, d_d[i], side="right"))
+        seg_w = s_w[d_lo:d_hi]
+        w_lo = d_lo + int(np.searchsorted(seg_w, d_w[i], side="left"))
+        w_hi = d_lo + int(np.searchsorted(seg_w, d_w[i], side="right"))
+        if w_hi - w_lo < count:
+            raise DynamicGraphError(
+                f"cannot delete edge ({int(d_s[i])}, {int(d_d[i])}, "
+                f"{float(d_w[i])}): {count} requested, {w_hi - w_lo} present"
+            )
+        keep[order[w_lo:w_lo + count]] = False
+        i = j + 1
+    return src[keep], dst[keep], weights[keep]
+
+
+def _reference_apply(graph, batch):
+    """The snapshot after ``batch``, rebuilt by a full lexsort."""
+    src = graph.edge_sources()
+    dst = np.asarray(graph.edges)
+    wts = np.asarray(graph.weights)
+    if batch.num_deletes:
+        src, dst, wts = _reference_remove_multiset(
+            src, dst, wts, batch.deletes, batch.delete_weights
+        )
+    if batch.num_inserts:
+        src = np.concatenate([src, batch.inserts[:, 0]])
+        dst = np.concatenate([dst, batch.inserts[:, 1]])
+        wts = np.concatenate([wts, batch.insert_weights])
+    return _reference_canonical(graph.num_vertices, src, dst, wts, graph.name)
+
+
+def _reference_churn_batches(
+    graph, num_batches, batch_edges, insert_fraction=0.5, seed=0,
+    max_weight=255,
+):
+    """``churn_batches`` over Python lists, one victim at a time."""
+    rng = np.random.default_rng(seed)
+    num_vertices = graph.num_vertices
+    src = list(graph.edge_sources())
+    dst = list(graph.edges)
+    wts = list(np.asarray(graph.weights))
+    for _ in range(num_batches):
+        n_ins = int(round(batch_edges * insert_fraction))
+        n_del = min(batch_edges - n_ins, len(src))
+        deletes = np.zeros((n_del, 2), dtype=np.int64)
+        delete_weights = np.zeros(n_del, dtype=np.float32)
+        if n_del:
+            victims = rng.choice(len(src), size=n_del, replace=False)
+            for out, idx in enumerate(sorted(victims, reverse=True)):
+                deletes[out, 0] = src[idx]
+                deletes[out, 1] = dst[idx]
+                delete_weights[out] = wts[idx]
+                src[idx] = src[-1]
+                dst[idx] = dst[-1]
+                wts[idx] = wts[-1]
+                src.pop()
+                dst.pop()
+                wts.pop()
+        inserts = np.zeros((n_ins, 2), dtype=np.int64)
+        insert_weights = np.zeros(n_ins, dtype=np.float32)
+        if n_ins and num_vertices:
+            inserts[:, 0] = rng.integers(0, num_vertices, size=n_ins)
+            inserts[:, 1] = rng.integers(0, num_vertices, size=n_ins)
+            insert_weights[:] = rng.integers(
+                1, max_weight + 1, size=n_ins
+            ).astype(np.float32)
+            for k in range(n_ins):
+                src.append(np.int64(inserts[k, 0]))
+                dst.append(np.int64(inserts[k, 1]))
+                wts.append(np.float32(insert_weights[k]))
+        yield EdgeBatch(inserts, insert_weights, deletes, delete_weights)
+
+
+def _snapshot_bytes(graph):
+    return (
+        graph.offsets.tobytes(),
+        np.asarray(graph.edges).tobytes(),
+        np.asarray(graph.weights).tobytes(),
+    )
 
 
 @st.composite
@@ -74,6 +196,155 @@ def insert_batches(draw, num_vertices):
         inserts=pairs,
         insert_weights=np.asarray(weights, dtype=np.float32),
     )
+
+
+#: Zero (both signs), negative and repeated weights for the oracle cases.
+ORACLE_WEIGHTS = [-7.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 255.0]
+
+
+@st.composite
+def oracle_cases(draw):
+    """A canonical graph and a batch that applies cleanly to it.
+
+    Covers duplicate triples, zero and negative weights, deletes of
+    every copy of a triple, re-inserts of deleted triples, and a
+    V = 2**17 vertex set whose row keys ``src * V + dst`` exceed 2**31.
+    """
+    num_vertices = draw(st.sampled_from([1, 2, 5, 9, 2**17]))
+    if num_vertices == 2**17:
+        vertex = st.sampled_from([0, 1, 40_000, 2**17 - 2, 2**17 - 1])
+    else:
+        vertex = st.integers(min_value=0, max_value=num_vertices - 1)
+    weight = st.sampled_from(ORACLE_WEIGHTS)
+    triples = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=30))
+    # Duplicate some triples outright.
+    triples += draw(
+        st.lists(st.sampled_from(triples), max_size=6) if triples else st.just([])
+    )
+    graph = CSRGraph.from_edge_list(
+        num_vertices,
+        np.asarray([t[:2] for t in triples], dtype=np.int64).reshape(-1, 2),
+        [t[2] for t in triples],
+        name="oracle",
+    )
+    dynamic = DynamicGraph(graph, key="HYP-ORACLE")
+    canonical = dynamic.graph
+    existing = list(
+        zip(
+            canonical.edge_sources().tolist(),
+            canonical.edges.tolist(),
+            canonical.weights.tolist(),
+        )
+    )
+    deletes = []
+    if existing:
+        picks = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(existing) - 1),
+                unique=True,
+                max_size=len(existing),
+            )
+        )
+        deletes = [existing[i] for i in picks]
+        if draw(st.booleans()):
+            # Every copy of one triple.
+            target = existing[draw(st.integers(0, len(existing) - 1))]
+            deletes = [t for t in deletes if t != target]
+            deletes += [t for t in existing if t == target]
+        deletes = draw(st.permutations(deletes))
+    inserts = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=12))
+    if deletes and draw(st.booleans()):
+        inserts += draw(st.lists(st.sampled_from(deletes), max_size=4))
+    inserts = draw(st.permutations(inserts))
+    batch = EdgeBatch(
+        np.asarray([t[:2] for t in inserts], dtype=np.int64).reshape(-1, 2),
+        np.asarray([t[2] for t in inserts], dtype=np.float32),
+        np.asarray([t[:2] for t in deletes], dtype=np.int64).reshape(-1, 2),
+        np.asarray([t[2] for t in deletes], dtype=np.float32),
+    )
+    return dynamic, batch
+
+
+class TestMergeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases())
+    def test_merge_matches_lexsort_rebuild(self, case):
+        dynamic, batch = case
+        expected = _reference_apply(dynamic.graph, batch)
+        dynamic.apply(batch)
+        assert _snapshot_bytes(dynamic.graph) == _snapshot_bytes(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=oracle_cases(), data=st.data())
+    def test_over_requested_delete_raises_on_both(self, case, data):
+        dynamic, _ = case
+        graph = dynamic.graph
+        if graph.num_edges == 0:
+            victim = (0, 0, 1.0)
+            copies = 0
+        else:
+            i = data.draw(st.integers(0, graph.num_edges - 1))
+            victim = (
+                int(graph.edge_sources()[i]),
+                int(graph.edges[i]),
+                float(graph.weights[i]),
+            )
+            copies = int(np.sum(
+                (graph.edge_sources() == victim[0])
+                & (graph.edges == victim[1])
+                & (graph.weights == np.float32(victim[2]))
+            ))
+        batch = EdgeBatch.of(
+            inserts=[(0, 0)],
+            deletes=[victim[:2]] * (copies + 1),
+            delete_weights=[victim[2]] * (copies + 1),
+        )
+        before = _snapshot_bytes(graph)
+        fp = dynamic.content_fingerprint
+        with pytest.raises(DynamicGraphError, match="cannot delete"):
+            _reference_apply(graph, batch)
+        with pytest.raises(
+            DynamicGraphError,
+            match=rf"{copies + 1} requested, {copies} present",
+        ):
+            dynamic.apply(batch)
+        assert dynamic.generation == 0
+        assert _snapshot_bytes(dynamic.graph) == before
+        assert dynamic.content_fingerprint == fp
+
+    def test_delete_and_reinsert_same_triple(self):
+        graph = CSRGraph.from_edge_list(
+            2**17, [(2**17 - 1, 5), (2**17 - 1, 5), (3, 2**17 - 1)],
+            [0.0, -2.0, 4.0], name="big",
+        )
+        dynamic = DynamicGraph(graph, key="HYP-REINSERT")
+        before = _snapshot_bytes(dynamic.graph)
+        batch = EdgeBatch.of(
+            inserts=[(2**17 - 1, 5), (3, 2**17 - 1)],
+            insert_weights=[-2.0, 4.0],
+            deletes=[(3, 2**17 - 1), (2**17 - 1, 5)],
+            delete_weights=[4.0, -2.0],
+        )
+        dynamic.apply(batch)
+        assert _snapshot_bytes(dynamic.graph) == before
+        assert dynamic.generation == 1
+
+    def test_signed_zero_ties_keep_existing_edges_first(self):
+        # 0.0 and -0.0 compare equal but differ in bytes, so only the
+        # tie order among equal triples tells them apart.
+        graph = CSRGraph.from_edge_list(
+            2, [(0, 1), (0, 1)], [0.0, -0.0], name="zeros"
+        )
+        dynamic = DynamicGraph(graph, key="HYP-ZEROS")
+        batches = [
+            EdgeBatch.of(inserts=[(0, 1), (0, 1)], insert_weights=[-0.0, 0.0]),
+            EdgeBatch.of(deletes=[(0, 1)] * 3, delete_weights=[-0.0, 0.0, 0.0]),
+        ]
+        for batch in batches:
+            expected = _reference_apply(dynamic.graph, batch)
+            dynamic.apply(batch)
+            assert _snapshot_bytes(dynamic.graph) == _snapshot_bytes(expected)
+        assert np.signbit(dynamic.graph.weights).tolist() == [False]
 
 
 class TestBitIdentity:
@@ -274,6 +545,50 @@ class TestChurnTraces:
             dynamic.apply(batch)  # DynamicGraphError would fail the test
         assert dynamic.generation == 4
 
+    @pytest.mark.parametrize("insert_fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 9, 1003])
+    def test_vectorized_trace_matches_list_oracle(self, seed, insert_fraction):
+        graph = datasets.load("FR")
+        kwargs = dict(
+            num_batches=3,
+            batch_edges=graph.num_edges // 40,
+            insert_fraction=insert_fraction,
+            seed=seed,
+        )
+        assert [b.digest() for b in churn_batches(graph, **kwargs)] == [
+            b.digest() for b in _reference_churn_batches(graph, **kwargs)
+        ]
+
+    def test_capped_deletes_match_list_oracle(self):
+        graph = CSRGraph.from_edge_list(
+            6, [(i % 6, (3 * i) % 6) for i in range(20)], name="cap"
+        )
+        kwargs = dict(
+            num_batches=3, batch_edges=30, insert_fraction=0.25, seed=5
+        )
+        batches = list(churn_batches(graph, **kwargs))
+        # n_del = min(30 - 8, edges present): every edge, each batch.
+        assert [b.num_deletes for b in batches] == [20, 8, 8]
+        assert [b.digest() for b in batches] == [
+            b.digest() for b in _reference_churn_batches(graph, **kwargs)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_dense_deletes_match_list_oracle(self, data):
+        # Deletes near the edge count push many victims into the
+        # swap-remove tail, and often cap n_del at every edge.
+        graph = data.draw(small_graphs())
+        kwargs = dict(
+            num_batches=data.draw(st.integers(min_value=1, max_value=4)),
+            batch_edges=data.draw(st.integers(min_value=1, max_value=60)),
+            insert_fraction=data.draw(st.sampled_from([0.0, 0.25, 0.5])),
+            seed=data.draw(st.integers(min_value=0, max_value=999)),
+        )
+        assert [b.digest() for b in churn_batches(graph, **kwargs)] == [
+            b.digest() for b in _reference_churn_batches(graph, **kwargs)
+        ]
+
     def test_derived_churn_keys_are_reproducible(self):
         first = derive_churned("FR", 3, key="HYP-DRV-A", replace=True)
         second = derive_churned("FR", 3, key="HYP-DRV-B", replace=True)
@@ -304,6 +619,27 @@ class TestValidation:
         # The right weight identifies the edge.
         dynamic.apply(EdgeBatch.of(deletes=[(0, 1)], delete_weights=[2.0]))
         assert dynamic.num_edges == 0
+
+    @pytest.mark.parametrize(
+        "field", ["insert_weights", "delete_weights"]
+    )
+    def test_nan_weights_rejected(self, field):
+        # NaN equals nothing, so a NaN delete cannot identify an edge:
+        # two of them would clear one slot twice and report success
+        # with an edge still present.
+        graph = CSRGraph.from_edge_list(
+            2, [(0, 1), (0, 1)], [np.nan, np.nan], name="nan"
+        )
+        with pytest.raises(DynamicGraphError, match=field):
+            if field == "insert_weights":
+                EdgeBatch.of(inserts=[(0, 1)], insert_weights=[np.nan])
+            else:
+                DynamicGraph(graph, key="HYP-NAN").apply(
+                    EdgeBatch.of(
+                        deletes=[(0, 1), (0, 1)],
+                        delete_weights=[np.nan, np.nan],
+                    )
+                )
 
     def test_mismatched_weight_arrays_rejected(self):
         with pytest.raises(DynamicGraphError, match="parallel"):
