@@ -124,7 +124,7 @@ class DCATimingModel:
                     self.update_operations - updates_before
                 )
                 rec.histogram("dca.lane_load").observe(
-                    self._owner_imbalance(data.edge_dst)
+                    self._owner_imbalance(data)
                 )
             rec.clock.advance(apply_cycles)
         phase = dataclasses.replace(scatter, apply_cycles=apply_cycles)
@@ -133,15 +133,10 @@ class DCATimingModel:
         self.edges_processed += data.num_edges
 
     # ------------------------------------------------------------------
-    def _owner_lane_loads(self, edge_dst: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            edge_dst % self.config.num_lanes, minlength=self.config.num_lanes
-        )
-
-    def _owner_imbalance(self, edge_dst: np.ndarray) -> float:
-        if edge_dst.size == 0:
+    def _owner_imbalance(self, data: IterationData) -> float:
+        if data.num_edges == 0:
             return 0.0
-        loads = self._owner_lane_loads(edge_dst)
+        loads = data.dst_loads(self.config.num_lanes)
         return float(loads.max() / max(loads.mean(), 1e-9))
 
     # ------------------------------------------------------------------
@@ -174,7 +169,7 @@ class DCATimingModel:
         # bounds the update sub-datapath.  In-lane operand forwarding
         # makes same-destination reduces conflict-free, so there is no
         # stall term at all.
-        loads = self._owner_lane_loads(data.edge_dst)
+        loads = data.dst_loads(cfg.num_lanes)
         update_cycles = float(loads.max()) + cfg.router_hop_cycles
 
         # --- Data access (exact prefetch, shared HBM) ---

@@ -198,7 +198,9 @@ class GraphDynSTimingModel:
         compute_cycles = outcome.max_load / (cfg.n_simt * lane_eff)
 
         # --- Data update sub-datapath (crossbar + Reduce Pipeline) ---
-        xbar = self.crossbar.route_batch(data.edge_dst)
+        xbar = self.crossbar.route_batch(
+            data.dst_loads(self.crossbar.num_outputs)
+        )
         update_cycles = float(xbar.cycles)
         stall = 0.0
         if not cfg.enable_atomic_optimization:

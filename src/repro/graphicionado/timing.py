@@ -138,7 +138,9 @@ class GraphicionadoTimingModel:
 
         # Destination-side reduce engines, hash by dst, with stall-on-
         # conflict atomicity.
-        xbar = self.crossbar.route_batch(data.edge_dst)
+        xbar = self.crossbar.route_batch(
+            data.dst_loads(self.crossbar.num_outputs)
+        )
         conflicts = grouped_duplicate_count(data.edge_dst, cfg.conflict_window)
         stall = conflicts * cfg.conflict_stall_cycles
         update_cycles = float(xbar.cycles) + stall

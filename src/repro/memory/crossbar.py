@@ -6,18 +6,15 @@ destination vertex (``ue = dst % num_outputs``).  Each output accepts one
 flit per cycle, so a cycle whose batch maps several results onto one UE
 serializes on that output.
 
-Two interfaces:
-
-* :meth:`route_batch` -- exact vectorized replay of an iteration's whole
-  destination stream, returning the serialization cycles and conflict
-  statistics (drives Fig. 14e, the UE-count scaling study).
-* :meth:`route` -- per-flit event interface used by the micro-model tests.
+:meth:`Crossbar.route_batch` takes an iteration's per-output load vector --
+the destination histogram folded to ``num_outputs`` -- and returns the
+serialization cycles and conflict statistics (drives Fig. 14e, the
+UE-count scaling study).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
 
 import numpy as np
 
@@ -84,83 +81,34 @@ class Crossbar:
         self.num_outputs = num_outputs
         self.issue_width = issue_width
         self.name = name
-        self.total_flits = 0
-        self.total_cycles = 0
 
-    def output_of(self, dst_vertex: int) -> int:
-        """Hash route: ``UE = vertex % num_outputs`` (Section 5.2.2)."""
-        return dst_vertex % self.num_outputs
+    def route_batch(self, loads: np.ndarray) -> CrossbarStats:
+        """Route an iteration's flits, issue_width per cycle.
 
-    def route_batch(
-        self, dst_vertices: np.ndarray, elastic: bool = True
-    ) -> CrossbarStats:
-        """Route an iteration's destination stream, issue_width per cycle.
-
-        With ``elastic=True`` (the hardware has small FIFOs between crossbar
-        outputs and UEs, Fig. 4d), transient per-cycle collisions are
-        absorbed and sustained throughput is bound by the *busiest output's
-        total load*: ``cycles = max(num_groups, max_total_output_load)``.
-
-        With ``elastic=False`` (no buffering), every issue group serializes
-        on its most-contended output: ``cycles = sum(per_group_max)`` -- the
-        pessimistic model used for sensitivity checks.
+        ``loads[i]`` is the number of flits hashed to output ``i``
+        (``IterationData.dst_loads(num_outputs)``).  The hardware has small
+        FIFOs between crossbar outputs and UEs (Fig. 4d), so transient
+        per-cycle collisions are absorbed and sustained throughput is bound
+        by the *busiest output's total load*:
+        ``cycles = max(num_groups, max_total_output_load)``.
         """
-        n = int(dst_vertices.size)
+        loads = np.asarray(loads)
+        if loads.shape != (self.num_outputs,):
+            raise ValueError(
+                f"{self.name}: expected {self.num_outputs} output loads, "
+                f"got shape {loads.shape}"
+            )
+        n = int(loads.sum())
         if n == 0:
             return CrossbarStats(0, 0, 0, 0, 0)
-        outputs = dst_vertices % self.num_outputs
         num_groups = -(-n // self.issue_width)
-        total_loads = np.bincount(outputs, minlength=self.num_outputs)
-        max_total = int(total_loads.max())
-        if elastic:
-            cycles = max(num_groups, max_total)
-            # Conflicts: flits beyond a perfectly even spread.
-            conflict_flits = int(
-                (total_loads - -(-n // self.num_outputs)).clip(min=0).sum()
-            )
-            stats = CrossbarStats(
-                cycles=cycles,
-                flits=n,
-                ideal_cycles=num_groups,
-                max_output_load=max_total,
-                conflict_flits=conflict_flits,
-            )
-        else:
-            pad = num_groups * self.issue_width - n
-            padded = outputs
-            if pad:
-                # Padding flits go to distinct virtual outputs so they
-                # never add contention.
-                padded = np.concatenate(
-                    [outputs, np.full(pad, -1, dtype=np.int64)]
-                )
-            group_ids = np.repeat(
-                np.arange(num_groups, dtype=np.int64), self.issue_width
-            )
-            valid = padded >= 0
-            counts = np.zeros((num_groups, self.num_outputs), dtype=np.int32)
-            np.add.at(counts, (group_ids[valid], padded[valid]), 1)
-            per_group_max = counts.max(axis=1)
-            cycles = int(per_group_max.sum())
-            stats = CrossbarStats(
-                cycles=cycles,
-                flits=n,
-                ideal_cycles=num_groups,
-                max_output_load=int(per_group_max.max()),
-                conflict_flits=int((counts - 1).clip(min=0).sum()),
-            )
-        self.total_flits += n
-        self.total_cycles += stats.cycles
-        return stats
-
-    def route(self, cycle: int, dst_vertex: int, busy_until: Dict[int, int]) -> int:
-        """Route one flit; ``busy_until`` tracks per-output availability.
-
-        Returns the cycle the flit is delivered.  Used by event-driven
-        micro-models and tests.
-        """
-        out = self.output_of(dst_vertex)
-        start = max(cycle, busy_until.get(out, 0))
-        busy_until[out] = start + 1
-        self.total_flits += 1
-        return start + 1
+        max_total = int(loads.max())
+        # Conflicts: flits beyond a perfectly even spread.
+        conflict_flits = int((loads - -(-n // self.num_outputs)).clip(min=0).sum())
+        return CrossbarStats(
+            cycles=max(num_groups, max_total),
+            flits=n,
+            ideal_cycles=num_groups,
+            max_output_load=max_total,
+            conflict_flits=conflict_flits,
+        )

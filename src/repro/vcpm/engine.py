@@ -13,6 +13,11 @@ runtime:
   Ready-to-Update Bitmap contents),
 * the set of vertices activated by Apply.
 
+Every array of :class:`IterationData` is a read-only view, and
+:meth:`IterationData.dst_loads` folds one cached destination histogram per
+iteration to any width -- the crossbar's ``dst mod outputs`` hash route and
+DCA's ``dst mod lanes`` ownership read the same statistic.
+
 Timing models subscribe as :class:`IterationObserver`; one functional run can
 drive any number of accelerator models, which keeps benchmarks honest (every
 model sees the identical data-dependent behaviour) and fast.
@@ -25,6 +30,7 @@ hardware performs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
@@ -63,11 +69,24 @@ def gather_edge_indices(
     return base + np.arange(total, dtype=np.int64)
 
 
+_ARRAY_FIELDS = (
+    "active_ids",
+    "active_degrees",
+    "active_offsets",
+    "edge_dst",
+    "edge_weights",
+    "modified_ids",
+    "activated_ids",
+)
+
+
 @dataclasses.dataclass
 class IterationData:
     """Everything one iteration exposes to timing observers.
 
-    Arrays are shared (not copied); observers must not mutate them.
+    Arrays are shared (not copied) and stored as read-only views, so an
+    observer that writes into one raises ``ValueError``; the cached
+    destination histogram behind :meth:`dst_loads` relies on this.
 
     Attributes:
         iteration: zero-based iteration index.
@@ -93,6 +112,29 @@ class IterationData:
     modified_ids: np.ndarray
     activated_ids: np.ndarray
     num_vertices: int
+
+    def __post_init__(self) -> None:
+        for field in _ARRAY_FIELDS:
+            view = np.asarray(getattr(self, field)).view()
+            view.flags.writeable = False
+            setattr(self, field, view)
+
+    @functools.cached_property
+    def _dst_histogram(self) -> np.ndarray:
+        return np.bincount(self.edge_dst, minlength=self.num_vertices)
+
+    def dst_loads(self, width: int) -> np.ndarray:
+        """Edges per ``dst % width`` bucket, folded from one histogram.
+
+        Equal to ``np.bincount(edge_dst % width, minlength=width)``
+        (dtype included): the per-vertex histogram is computed once per
+        iteration, padded to a multiple of ``width``, reshaped to
+        ``(-1, width)`` and summed over axis 0.
+        """
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        hist = self._dst_histogram
+        return np.pad(hist, (0, -hist.size % width)).reshape(-1, width).sum(axis=0)
 
     @property
     def num_active(self) -> int:

@@ -24,18 +24,23 @@ def _lexsort_reference(dst, group_width: int) -> int:
     return int(np.count_nonzero(same))
 
 
+def _loads(dst, num_outputs: int) -> np.ndarray:
+    """Per-output load vector of a destination stream (the hash route)."""
+    return np.bincount(np.asarray(dst, dtype=np.int64) % num_outputs, minlength=num_outputs)
+
+
 class TestElasticRouting:
     def test_balanced_stream_hits_ideal(self):
         xbar = Crossbar(num_outputs=4, issue_width=4)
         dst = np.arange(16) % 4  # perfectly spread
-        stats = xbar.route_batch(dst)
+        stats = xbar.route_batch(_loads(dst, 4))
         assert stats.cycles == stats.ideal_cycles == 4
         assert stats.efficiency == 1.0
 
     def test_hot_output_binds_throughput(self):
         xbar = Crossbar(num_outputs=4, issue_width=4)
         dst = np.zeros(16, dtype=np.int64)  # everything to output 0
-        stats = xbar.route_batch(dst)
+        stats = xbar.route_batch(_loads(dst, 4))
         assert stats.cycles == 16  # one per cycle on the hot output
         assert stats.max_output_load == 16
 
@@ -43,54 +48,20 @@ class TestElasticRouting:
         xbar = Crossbar(num_outputs=2, issue_width=2)
         # Alternating bursts: [0,0] then [1,1]; totals are balanced.
         dst = np.array([0, 0, 1, 1] * 8)
-        stats = xbar.route_batch(dst)
+        stats = xbar.route_batch(_loads(dst, 2))
         assert stats.cycles == stats.ideal_cycles  # buffering hides it
 
     def test_empty_stream(self):
-        stats = Crossbar(4, 4).route_batch(np.zeros(0, dtype=np.int64))
+        stats = Crossbar(4, 4).route_batch(_loads(np.zeros(0, dtype=np.int64), 4))
         assert stats.cycles == 0
         assert stats.conflict_rate == 0.0
 
     def test_fewer_outputs_than_lanes_floor(self):
         xbar = Crossbar(num_outputs=2, issue_width=8)
         dst = np.arange(64) % 2
-        stats = xbar.route_batch(dst)
+        stats = xbar.route_batch(_loads(dst, 2))
         # 8 groups but 32 flits per output -> at least 32 cycles.
         assert stats.cycles == 32
-
-
-class TestStrictRouting:
-    def test_per_group_serialization(self):
-        xbar = Crossbar(num_outputs=4, issue_width=4)
-        # Each group of 4 sends two flits to output 0.
-        dst = np.array([0, 0, 1, 2] * 4)
-        stats = xbar.route_batch(dst, elastic=False)
-        assert stats.cycles == 8  # 2 cycles per group x 4 groups
-
-    def test_strict_never_faster_than_elastic(self):
-        rng = np.random.default_rng(0)
-        dst = rng.integers(0, 8, size=256)
-        elastic = Crossbar(8, 8).route_batch(dst.copy()).cycles
-        strict = Crossbar(8, 8).route_batch(dst.copy(), elastic=False).cycles
-        assert strict >= elastic
-
-    def test_padding_does_not_add_contention(self):
-        xbar = Crossbar(num_outputs=4, issue_width=4)
-        dst = np.array([0, 1, 2])  # one partial group
-        stats = xbar.route_batch(dst, elastic=False)
-        assert stats.cycles == 1
-
-
-class TestRoutePerFlit:
-    def test_serializes_same_output(self):
-        xbar = Crossbar(num_outputs=4, issue_width=4)
-        busy = {}
-        done = [xbar.route(0, 0, busy), xbar.route(0, 4, busy), xbar.route(0, 1, busy)]
-        assert done == [1, 2, 1]  # 0 and 4 share output 0
-
-    def test_output_hash(self):
-        xbar = Crossbar(num_outputs=128, issue_width=128)
-        assert xbar.output_of(300) == 300 % 128
 
 
 class TestGroupedDuplicates:
@@ -147,3 +118,13 @@ class TestValidation:
             Crossbar(0, 4)
         with pytest.raises(ValueError):
             Crossbar(4, 0)
+
+    @pytest.mark.parametrize("length", [0, 3, 5, 128])
+    def test_rejects_load_vector_of_wrong_length(self, length):
+        with pytest.raises(ValueError, match="expected 4 output loads"):
+            Crossbar(4, 4).route_batch(np.zeros(length, dtype=np.int64))
+
+    def test_rejects_stream_shaped_input(self):
+        # A 2-D array is not a load vector, even with num_outputs elements.
+        with pytest.raises(ValueError):
+            Crossbar(4, 4).route_batch(np.zeros((2, 2), dtype=np.int64))

@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.vcpm import ALGORITHMS, gather_edge_indices, reference, run_vcpm
+from repro.vcpm import (
+    ALGORITHMS,
+    IterationData,
+    gather_edge_indices,
+    reference,
+    run_vcpm,
+    run_vcpm_partitioned,
+)
 
 
 def _finite_equal(a, b):
@@ -229,3 +238,113 @@ class TestObservers:
                 assert set(data.modified_ids).issubset(set(data.edge_dst))
 
         run_vcpm(tiny_graph, ALGORITHMS["SSSP"], source=0, observers=[Probe()])
+
+    @pytest.mark.parametrize(
+        "run", [run_vcpm, run_vcpm_partitioned], ids=lambda f: f.__name__
+    )
+    def test_observer_writing_into_arrays_raises(self, tiny_graph, run):
+        class Scribbler:
+            def on_iteration(self, data):
+                data.edge_dst[0] = 0
+
+        with pytest.raises(ValueError, match="read-only"):
+            run(tiny_graph, ALGORITHMS["BFS"], source=0, observers=[Scribbler()])
+
+    def test_every_array_is_read_only(self, tiny_graph):
+        seen = []
+
+        class Probe:
+            def on_iteration(self, data):
+                seen.append(data)
+
+        run_vcpm(tiny_graph, ALGORITHMS["SSSP"], source=0, observers=[Probe()])
+        assert seen
+        for data in seen:
+            for name in (
+                "active_ids",
+                "active_degrees",
+                "active_offsets",
+                "edge_dst",
+                "edge_weights",
+                "modified_ids",
+                "activated_ids",
+            ):
+                assert not getattr(data, name).flags.writeable, name
+
+
+def _iteration(edge_dst, num_vertices) -> IterationData:
+    empty = np.zeros(0, dtype=np.int64)
+    return IterationData(
+        iteration=0,
+        active_ids=empty,
+        active_degrees=empty,
+        active_offsets=empty,
+        edge_dst=np.asarray(edge_dst, dtype=np.int64),
+        edge_weights=np.ones(len(edge_dst)),
+        modified_ids=empty,
+        activated_ids=empty,
+        num_vertices=num_vertices,
+    )
+
+
+def _oracle(edge_dst, width):
+    return np.bincount(np.asarray(edge_dst, dtype=np.int64) % width, minlength=width)
+
+
+def _assert_loads_match(data, width):
+    got = data.dst_loads(width)
+    expected = _oracle(data.edge_dst, width)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+class TestDstLoads:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_vertices=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_fold_matches_bincount_oracle(self, num_vertices, data):
+        edge_dst = data.draw(
+            st.lists(st.integers(0, num_vertices - 1), max_size=400), label="edge_dst"
+        )
+        extra = data.draw(st.lists(st.integers(1, 400), max_size=4), label="widths")
+        widths = [1, 3, 16, 128, max(num_vertices - 1, 1), num_vertices, num_vertices + 1]
+        widths += extra
+        iteration = _iteration(edge_dst, num_vertices)
+        # Mixed widths on one IterationData share the one cached histogram.
+        for width in data.draw(st.permutations(widths), label="order"):
+            _assert_loads_match(iteration, width)
+
+    @pytest.mark.parametrize(
+        "edge_dst, num_vertices",
+        [
+            ([], 5),  # empty stream
+            ([], 0),
+            ([0, 0, 0], 1),  # V = 1
+            ([0, 4, 5, 6, 6, 9], 10),  # widths 3, 4, 7, 9, 11 do not divide V
+        ],
+    )
+    def test_fixed_cases(self, edge_dst, num_vertices):
+        data = _iteration(edge_dst, num_vertices)
+        for width in (1, 2, 3, 4, 7, 9, 11, 16, 128):
+            _assert_loads_match(data, width)
+
+    def test_histogram_computed_once(self, monkeypatch):
+        data = _iteration([1, 2, 2, 7], 8)
+        calls = []
+        real = np.bincount
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        for width in (128, 128, 16, 3):
+            data.dst_loads(width)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_rejects_non_positive_width(self, width):
+        with pytest.raises(ValueError, match="width"):
+            _iteration([0, 1], 2).dst_loads(width)
