@@ -19,6 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
+from ..graph.csr import sorted_unique
+
 __all__ = ["ReadyToUpdateBitmap", "BitmapStats"]
 
 
@@ -65,7 +67,7 @@ class ReadyToUpdateBitmap:
             return
         if ids.min() < 0 or ids.max() >= self.num_vertices:
             raise IndexError("vertex id out of range")
-        self._bits[np.unique(ids // self.block_size)] = True
+        self._bits[ids // self.block_size] = True
 
     def is_marked(self, vertex_id: int) -> bool:
         """Whether ``vertex_id``'s block is scheduled for update."""
@@ -108,7 +110,7 @@ class ReadyToUpdateBitmap:
         ids = np.asarray(modified_ids, dtype=np.int64)
         if ids.size == 0 or num_vertices == 0:
             return 0
-        blocks = np.unique(ids // block_size)
+        blocks = sorted_unique(ids // block_size)
         full = int(blocks.size) * block_size
         # The last block may be truncated by the vertex count.
         last_block = num_vertices // block_size

@@ -19,11 +19,27 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph", "GraphError"]
+__all__ = ["CSRGraph", "GraphError", "sorted_unique"]
 
 
 class GraphError(ValueError):
     """Raised when a graph is structurally invalid."""
+
+
+def sorted_unique(values) -> np.ndarray:
+    """Sorted distinct values of an integer array, in its dtype.
+
+    Equal to ``np.unique(values)`` (flattened, dtype kept), computed as a
+    sort plus an adjacent-inequality mask: numpy 2.x's hash-based
+    ``np.unique`` is 10-25x slower on the vertex-id arrays that the churn
+    batch, continuation frontier and Update Bitmap paths pass here.
+    Integer input only: NaN never equals itself, so a float array would
+    keep every NaN.
+    """
+    ordered = np.sort(np.asarray(values).ravel())
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,8 +20,9 @@ Three invariants make the rest of the platform sound as graphs mutate:
   its :meth:`EdgeBatch.inverse` restores the exact original arrays —
   and the exact original fingerprint.
 * **Content fingerprints, invalidated by generation.**  Each snapshot
-  carries a sha256 of its arrays, recomputed exactly when the generation
-  advances (never per read).  ``datasets.fingerprint()`` folds it into
+  has a sha256 of its arrays, computed on the first read after the
+  generation advances and memoized until the next apply, so a mutation
+  never hashes the graph.  ``datasets.fingerprint()`` folds it into
   the run-service cache keys, so a mutated graph can never serve a stale
   cell, while an apply+inverse round trip legitimately re-addresses the
   original cached result.
@@ -44,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph, GraphError
+from .csr import CSRGraph, GraphError, sorted_unique
 
 __all__ = [
     "DYNAMIC_SCHEMA_VERSION",
@@ -175,9 +176,9 @@ class EdgeBatch:
 
     def touched_vertices(self) -> np.ndarray:
         """Sorted unique endpoints of every inserted/deleted edge."""
-        parts = [self.inserts.ravel(), self.deletes.ravel()]
-        flat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        return np.unique(flat)
+        return sorted_unique(
+            np.concatenate([self.inserts.ravel(), self.deletes.ravel()])
+        )
 
     def seed_vertices(self) -> np.ndarray:
         """Sorted unique *sources* of inserted edges.
@@ -189,7 +190,7 @@ class EdgeBatch:
         """
         if self.num_inserts == 0:
             return np.zeros(0, dtype=np.int64)
-        return np.unique(self.inserts[:, 0])
+        return sorted_unique(self.inserts[:, 0])
 
     def digest(self) -> str:
         """Stable short digest of the batch content."""
@@ -200,7 +201,7 @@ class EdgeBatch:
             self.deletes,
             self.delete_weights,
         ):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))
         return h.hexdigest()[:16]
 
 
@@ -227,11 +228,11 @@ def _canonical_csr(
 
 
 def _content_fingerprint(graph: CSRGraph) -> str:
+    """sha256 of ``V`` and the CSR arrays, read through the buffer protocol."""
     h = hashlib.sha256()
     h.update(np.int64(graph.num_vertices).tobytes())
-    h.update(np.ascontiguousarray(graph.offsets).tobytes())
-    h.update(np.ascontiguousarray(graph.edges).tobytes())
-    h.update(np.ascontiguousarray(graph.weights).tobytes())
+    for arr in (graph.offsets, graph.edges, graph.weights):
+        h.update(np.ascontiguousarray(arr))
     return h.hexdigest()[:16]
 
 
@@ -372,7 +373,8 @@ class DynamicGraph:
             self.key,
         )
         self._generation = 0
-        self._content_fp = _content_fingerprint(self._graph)
+        #: Fingerprint of the current generation; ``None`` until read.
+        self._content_fp: Optional[str] = None
         #: Digest breadcrumbs of every applied batch, for audit.
         self.history: List[str] = []
         #: Set by :func:`derive_churned` for keys materialized from the
@@ -398,12 +400,19 @@ class DynamicGraph:
     def content_fingerprint(self) -> str:
         """sha256 digest of the snapshot arrays.
 
-        Recomputed exactly when :attr:`generation` advances — the
-        generation counter *is* the invalidation tag for this memo — so
-        reading it is O(1) no matter how large the graph is.
+        Computed on the first read after :attr:`generation` advances and
+        memoized until the next apply — the generation counter *is* the
+        invalidation tag for this memo — so a mutation never hashes the
+        graph, and repeated reads of one generation hash it once.
         """
         with self._lock:
-            return self._content_fp
+            return self._fingerprint_locked()
+
+    def _fingerprint_locked(self) -> str:
+        """The memoized fingerprint; the caller holds ``self._lock``."""
+        if self._content_fp is None:
+            self._content_fp = _content_fingerprint(self._graph)
+        return self._content_fp
 
     @property
     def num_vertices(self) -> int:
@@ -424,8 +433,8 @@ class DynamicGraph:
         over the arrays.  The new snapshot is byte-identical to sorting
         the resulting edge multiset from scratch.  Every apply — even of
         an empty batch — advances the generation by exactly one and
-        refreshes the content fingerprint.  A failing apply changes
-        nothing.
+        clears the content-fingerprint memo; nothing on this path hashes
+        the graph.  A failing apply changes nothing.
 
         Raises:
             DynamicGraphError: an endpoint is out of range or a delete
@@ -443,7 +452,7 @@ class DynamicGraph:
                     )
             self._graph = _merge_batch(graph, batch, self.key)
             self._generation += 1
-            self._content_fp = _content_fingerprint(self._graph)
+            self._content_fp = None
             self.history.append(batch.digest())
         return batch.touched_vertices()
 
@@ -460,7 +469,7 @@ class DynamicGraph:
             return {
                 "dynamic": True,
                 "key": self.key,
-                "content": self._content_fp,
+                "content": self._fingerprint_locked(),
                 "num_vertices": self._graph.num_vertices,
                 "num_edges": self._graph.num_edges,
                 "dynamic_schema": DYNAMIC_SCHEMA_VERSION,

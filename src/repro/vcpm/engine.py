@@ -35,7 +35,7 @@ from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, sorted_unique
 from ..obs import get_recorder
 from .spec import AlgorithmSpec
 
@@ -74,7 +74,6 @@ _ARRAY_FIELDS = (
     "active_degrees",
     "active_offsets",
     "edge_dst",
-    "edge_weights",
     "modified_ids",
     "activated_ids",
 )
@@ -95,7 +94,6 @@ class IterationData:
         active_offsets: ``offset`` for each active vertex.
         edge_dst: destination vertex id of every processed edge, in
             traversal order (concatenated per-active-vertex edge lists).
-        edge_weights: weight of every processed edge (same order).
         modified_ids: vertices whose temporary property changed this
             iteration (contents of the Ready-to-Update Bitmap).
         activated_ids: vertices activated for the next iteration.
@@ -108,7 +106,6 @@ class IterationData:
     active_degrees: np.ndarray
     active_offsets: np.ndarray
     edge_dst: np.ndarray
-    edge_weights: np.ndarray
     modified_ids: np.ndarray
     activated_ids: np.ndarray
     num_vertices: int
@@ -264,7 +261,7 @@ def run_vcpm(
                 f"initial_properties has shape {prop.shape}, "
                 f"expected ({num_vertices},)"
             )
-        active = np.unique(np.asarray(initial_active, dtype=np.int64))
+        active = sorted_unique(np.asarray(initial_active, dtype=np.int64))
         if active.size and (
             active[0] < 0 or active[-1] >= num_vertices
         ):
@@ -309,7 +306,13 @@ def run_vcpm(
             with rec.span("vcpm.scatter", track="vcpm"):
                 edge_idx = gather_edge_indices(graph.offsets, active)
                 edge_dst = graph.edges[edge_idx]
-                edge_w = graph.weights[edge_idx].astype(np.float64)
+                # Unweighted specs get None and skip the gather; the
+                # float64 cast keeps custom process_edge math in float64.
+                edge_w = (
+                    graph.weights[edge_idx].astype(np.float64)
+                    if spec.uses_weights
+                    else None
+                )
                 degrees = graph.offsets[active + 1] - graph.offsets[active]
                 u_prop = np.repeat(prop[active], degrees)
 
@@ -332,7 +335,6 @@ def run_vcpm(
                 active_degrees=degrees,
                 active_offsets=graph.offsets[active],
                 edge_dst=edge_dst,
-                edge_weights=edge_w,
                 modified_ids=modified,
                 activated_ids=activated,
                 num_vertices=num_vertices,

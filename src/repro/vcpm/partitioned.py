@@ -325,7 +325,6 @@ def run_vcpm_partitioned(
                 active_degrees=degrees,
                 active_offsets=graph.offsets[active],
                 edge_dst=edge_dst,
-                edge_weights=edge_w,
                 modified_ids=modified,
                 activated_ids=activated,
                 num_vertices=num_vertices,

@@ -87,7 +87,8 @@ class AlgorithmSpec:
         apply: vectorized ``(prop, t_prop, c_prop) -> new prop``.
         initial_prop: ``(num_vertices, source) -> initial property array``.
         uses_weights: whether ``Process_Edge`` reads the edge weight (BFS/CC
-            do not; their edge records can drop the weight field).
+            do not; their edge records can drop the weight field, and
+            ``run_vcpm`` passes ``None`` as their weight).
         uses_degree_cprop: whether ``cProp`` is the vertex out-degree (PR).
         all_vertices_active_initially: CC and PR start from every vertex.
         resets_tprop_each_iteration: derived from the reduce op; PR's SUM

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ActivationCoalescer,
@@ -83,6 +85,43 @@ class TestBitmap:
             ReadyToUpdateBitmap(10, block_size=0)
         with pytest.raises(ValueError):
             ReadyToUpdateBitmap(-1)
+
+
+@st.composite
+def marked_ids(draw):
+    """Unsorted vertex ids with duplicates, V often not a block multiple."""
+    block_size = draw(st.sampled_from([1, 3, 7, 64, 256]))
+    num_vertices = draw(st.integers(min_value=1, max_value=2000))
+    ids = draw(
+        st.lists(st.integers(0, num_vertices - 1), max_size=80)
+    )
+    ids += draw(st.lists(st.sampled_from(ids), max_size=20) if ids else st.just([]))
+    ids = draw(st.permutations(ids))
+    return np.asarray(ids, dtype=np.int64), num_vertices, block_size
+
+
+class TestBitmapOracle:
+    """``mark``/``blocks_set`` and ``scheduled_count`` against np.unique."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=marked_ids())
+    @example(case=(np.array([299, 3, 299, 0], dtype=np.int64), 300, 256))
+    @example(case=(np.array([6, 6, 1], dtype=np.int64), 7, 3))
+    def test_matches_unique_blocks(self, case):
+        ids, num_vertices, block_size = case
+        blocks = np.unique(ids // block_size)
+        expected = int(
+            sum(min(block_size, num_vertices - b * block_size) for b in blocks)
+        )
+        bitmap = ReadyToUpdateBitmap(num_vertices, block_size=block_size)
+        bitmap.mark(ids)
+        assert bitmap.blocks_set == blocks.size
+        np.testing.assert_array_equal(np.flatnonzero(bitmap._bits), blocks)
+        assert bitmap.scheduled_vertices().size == expected
+        assert (
+            ReadyToUpdateBitmap.scheduled_count(ids, num_vertices, block_size)
+            == expected
+        )
 
 
 class TestCoalescer:

@@ -18,6 +18,9 @@ byte-identical to the straightforward versions kept below as oracles (a
 full lexsort rebuild, and swap-remove over Python lists).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -506,6 +509,132 @@ class TestContentAddressing:
         fp = dynamic.content_fingerprint
         dynamic.apply(EdgeBatch.of(inserts=[(0, 5)]))
         assert dynamic.content_fingerprint != fp
+
+
+class TestLazyFingerprint:
+    """The snapshot hash runs on the first read of a generation, never in apply."""
+
+    @staticmethod
+    def _count_hashes(monkeypatch):
+        calls = []
+        eager = dyn._content_fingerprint
+
+        def counting(graph):
+            calls.append(graph)
+            return eager(graph)
+
+        monkeypatch.setattr(dyn, "_content_fingerprint", counting)
+        return calls
+
+    def test_applies_hash_nothing_until_read_then_once(self, monkeypatch):
+        calls = self._count_hashes(monkeypatch)
+        dynamic = DynamicGraph(datasets.load("FR"), key="HYP-LAZY-COUNT")
+        for batch in churn_batches(
+            dynamic.graph, num_batches=5, batch_edges=16, seed=3
+        ):
+            dynamic.apply(batch)
+        assert calls == []
+        fp = dynamic.content_fingerprint
+        assert dynamic.fingerprint_payload()["content"] == fp
+        assert dynamic.content_fingerprint == fp
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert fp == dyn._content_fingerprint(dynamic.graph)
+
+    def test_unread_fingerprint_is_never_computed(self, monkeypatch):
+        calls = self._count_hashes(monkeypatch)
+        dynamic = DynamicGraph(datasets.load("FR"), key="HYP-LAZY-NONE")
+        for batch in churn_batches(
+            dynamic.graph, num_batches=3, batch_edges=16, seed=4
+        ):
+            dynamic.apply(batch)
+        assert dynamic.generation == 3
+        assert calls == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_lazy_equals_eager_at_every_generation(self, data):
+        graph = data.draw(small_graphs())
+        num_batches = data.draw(st.integers(min_value=1, max_value=4))
+        seed = data.draw(st.integers(min_value=0, max_value=999))
+        dynamic = DynamicGraph(graph, key="HYP-LAZY-EAGER")
+        original = dyn._content_fingerprint(dynamic.graph)
+        batches = list(
+            churn_batches(
+                dynamic.graph, num_batches=num_batches, batch_edges=4, seed=seed
+            )
+        )
+        # Forward through the trace, then back through the inverses.
+        for batch in batches + [b.inverse() for b in reversed(batches)]:
+            dynamic.apply(batch)
+            if data.draw(st.booleans()):
+                lazy = dynamic.content_fingerprint
+            else:
+                lazy = dynamic.fingerprint_payload()["content"]
+            assert lazy == dyn._content_fingerprint(dynamic.graph)
+        assert dynamic.content_fingerprint == original
+
+    def test_hex_digests_are_pinned(self):
+        graph = CSRGraph.from_edge_list(
+            5,
+            [(0, 1), (0, 2), (1, 3), (3, 4), (4, 0), (2, 2), (0, 1)],
+            [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0],
+            name="pin",
+        )
+        dynamic = DynamicGraph(graph, key="HYP-PIN")
+        assert dynamic.content_fingerprint == "40ecad486ef3805c"
+        batch = EdgeBatch.of(
+            inserts=[(2, 3), (0, 1)],
+            insert_weights=np.array([6.0, 0.5], dtype=np.float32),
+            deletes=[(4, 0)],
+            delete_weights=np.array([5.0], dtype=np.float32),
+        )
+        assert batch.digest() == "a686b85f7b583a12"
+        dynamic.apply(batch)
+        assert dynamic.fingerprint_payload()["content"] == "e42657e3279a0735"
+
+    def test_payload_is_one_snapshot_while_another_thread_applies(self):
+        dynamic = DynamicGraph(datasets.load("FR"), key="HYP-LAZY-RACE")
+        batch = EdgeBatch.of(inserts=[(0, 5), (1, 7), (2, 9)])
+        before = (dynamic.content_fingerprint, dynamic.num_edges)
+        dynamic.apply(batch)
+        after = (dynamic.content_fingerprint, dynamic.num_edges)
+        dynamic.apply(batch.inverse())
+        assert before != after
+
+        stop = threading.Event()
+        seen = []
+
+        def writer():
+            for i in range(200):
+                dynamic.apply(batch if i % 2 == 0 else batch.inverse())
+
+        def reader():
+            while not stop.is_set():
+                payload = dynamic.fingerprint_payload()
+                seen.append((payload["content"], payload["num_edges"]))
+
+        # More threads than cores, switching often, so a payload read
+        # between an apply and the next hash is likely.
+        writer_thread = threading.Thread(target=writer, daemon=True)
+        readers = [threading.Thread(target=reader, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in [writer_thread, *readers]:
+                thread.start()
+            writer_thread.join(timeout=60)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(
+            thread.is_alive() for thread in [writer_thread, *readers]
+        ), "deadlock"
+        assert seen and set(seen) <= {before, after}
+        assert (dynamic.content_fingerprint, dynamic.num_edges) == before
 
 
 class TestChurnTraces:

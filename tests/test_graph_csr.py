@@ -1,9 +1,15 @@
 """CSR graph structure tests."""
 
+import importlib
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, GraphError
+from repro.graph.csr import sorted_unique
 
 
 class TestConstruction:
@@ -208,3 +214,45 @@ class TestStorage:
         weighted = tiny_graph.storage_bytes(edge_bytes=8)
         unweighted = tiny_graph.storage_bytes(edge_bytes=4)
         assert weighted - unweighted == 4 * tiny_graph.num_edges
+
+
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(-(2**31), 2**31 - 1), max_size=60),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        layout=st.sampled_from(["as-drawn", "sorted", "all-equal"]),
+    )
+    @example(values=[], dtype=np.int32, layout="as-drawn")
+    @example(values=[-5], dtype=np.int64, layout="as-drawn")
+    @example(values=[7, -3, 7, 0, -3], dtype=np.int32, layout="as-drawn")
+    def test_matches_np_unique(self, values, dtype, layout):
+        if layout == "sorted":
+            values = sorted(values)
+        elif layout == "all-equal":
+            values = values[:1] * len(values)
+        arr = np.asarray(values, dtype=dtype)
+        got = sorted_unique(arr)
+        expected = np.unique(arr)
+        assert got.dtype == arr.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    def test_flattens_and_leaves_input_alone(self):
+        arr = np.array([[3, 1], [3, 2]], dtype=np.int64)
+        np.testing.assert_array_equal(sorted_unique(arr), [1, 2, 3])
+        np.testing.assert_array_equal(arr, [[3, 1], [3, 2]])
+
+    @pytest.mark.parametrize(
+        "module", ["repro.vcpm.engine", "repro.graph.dynamic", "repro.core.update_bitmap"]
+    )
+    def test_hot_paths_do_not_call_np_unique(self, module):
+        """Keep the churn, frontier and Update Bitmap paths on sorted_unique.
+
+        numpy 2.x's hash-based ``np.unique`` measured 10-25x slower than
+        sort plus an adjacent-inequality mask on these vertex-id arrays
+        (numpy 2.4 on a 2-vCPU Xeon: 1.0 vs 0.1 ms at 9.4k random int64
+        ids, 428 vs 17 ms at 1M), and these modules run once per churn
+        op or per iteration.
+        """
+        source = pathlib.Path(importlib.import_module(module).__file__).read_text()
+        assert "np.unique(" not in source

@@ -265,7 +265,6 @@ class TestObservers:
                 "active_degrees",
                 "active_offsets",
                 "edge_dst",
-                "edge_weights",
                 "modified_ids",
                 "activated_ids",
             ):
@@ -280,7 +279,6 @@ def _iteration(edge_dst, num_vertices) -> IterationData:
         active_degrees=empty,
         active_offsets=empty,
         edge_dst=np.asarray(edge_dst, dtype=np.int64),
-        edge_weights=np.ones(len(edge_dst)),
         modified_ids=empty,
         activated_ids=empty,
         num_vertices=num_vertices,
