@@ -1,0 +1,114 @@
+"""Scatter-side statistics that the timing observers share per frontier.
+
+Each function here is a statistic of one :class:`~repro.vcpm.engine.
+Frontier` alone -- in Algorithm 2 every active vertex carries its
+``offset`` and ``edgeCnt``, so dispatch balance, prefetch runs, lane
+packing and RAW conflicts depend on nothing else.  Observers read them
+through ``data.frontier.memo(fn, *args)``, which computes each
+``(fn, args)`` once per frontier: GraphDynS and DCA (with default
+configs) build one dispatch, vectorization and prefetch plan between
+them, and PR's all-vertex frontier, kept across its iterations, builds
+each plan once per run.  This module is the one list of what observers
+share; every value returned is immutable, because every caller receives
+the same object.
+
+Apply-side quantities (the Update Bitmap's scheduled count, DCA's bank
+loads) depend on ``modified_ids`` and stay per-iteration.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Optional
+
+import numpy as np
+
+from ..gpu import warp
+from ..memory import crossbar
+from . import prefetch, scheduling, vectorize
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..vcpm.engine import Frontier
+
+__all__ = [
+    "balanced_dispatch",
+    "hash_dispatch",
+    "vectorize_workloads",
+    "plan_exact_prefetch",
+    "plan_baseline_fetch",
+    "grouped_duplicate_count",
+    "warp_divergence",
+    "mean_nonzero_degree",
+]
+
+
+def balanced_dispatch(
+    frontier: "Frontier", num_pes: int, e_threshold: int
+) -> scheduling.DispatchOutcome:
+    """GraphDynS/DCA workload-balanced dispatch of the frontier's edges."""
+    return scheduling.balanced_dispatch(
+        frontier.active_degrees, num_pes, e_threshold
+    )
+
+
+def hash_dispatch(
+    frontier: "Frontier", num_pes: int
+) -> scheduling.DispatchOutcome:
+    """Graphicionado's whole-list ``vid % num_pes`` dispatch."""
+    return scheduling.hash_dispatch(
+        frontier.active_ids, frontier.active_degrees, num_pes
+    )
+
+
+def vectorize_workloads(
+    frontier: "Frontier", e_list_size: Optional[int], n_simt: int
+) -> vectorize.VectorizationStats:
+    """S2V lane packing of the edge lists, each clipped to ``e_list_size``.
+
+    ``e_list_size=None`` packs the whole lists (GraphDynS without
+    workload balance, whose queues hold unsplit lists).
+    """
+    sizes = frontier.active_degrees
+    if e_list_size is not None:
+        sizes = np.minimum(sizes, e_list_size)
+    return vectorize.vectorize_workloads(sizes, n_simt, combine_small=True)
+
+
+def plan_exact_prefetch(
+    frontier: "Frontier", weighted: bool
+) -> prefetch.PrefetchPlan:
+    """GraphDynS/DCA exact prefetch plan of the frontier's edge lists."""
+    return prefetch.plan_exact_prefetch(
+        frontier.active_offsets, frontier.active_degrees, weighted
+    )
+
+
+def plan_baseline_fetch(
+    frontier: "Frontier", weighted: bool
+) -> prefetch.PrefetchPlan:
+    """Graphicionado's per-vertex edge fetch plan.
+
+    Its offset array sits in on-chip eDRAM, so starting a list costs no
+    off-chip offset lookup.
+    """
+    return prefetch.plan_baseline_fetch(
+        frontier.active_offsets,
+        frontier.active_degrees,
+        weighted=weighted,
+        offset_cached_on_chip=True,
+    )
+
+
+def grouped_duplicate_count(frontier: "Frontier", group_width: int) -> int:
+    """RAW conflicts of the destination stream in issue groups of ``group_width``."""
+    return crossbar.grouped_duplicate_count(frontier.edge_dst, group_width)
+
+
+def warp_divergence(frontier: "Frontier", warp_size: int) -> warp.WarpStats:
+    """Gunrock's one-vertex-per-lane warp divergence of the frontier."""
+    return warp.warp_divergence(frontier.active_degrees, warp_size)
+
+
+def mean_nonzero_degree(frontier: "Frontier") -> float:
+    """Mean edge-list length over active vertices that have edges (1.0 if none)."""
+    nonzero = frontier.active_degrees[frontier.active_degrees > 0]
+    return float(nonzero.mean()) if nonzero.size else 1.0

@@ -20,7 +20,7 @@ Two plans are produced by the module:
 from __future__ import annotations
 
 import dataclasses
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -44,11 +44,11 @@ EDGE_BYTES_WITH_SRC = 12
 ACTIVE_RECORD_BYTES = 12
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class PrefetchPlan:
-    """The off-chip access batches for one Scatter phase."""
+    """The off-chip access batches for one Scatter phase (immutable)."""
 
-    patterns: List[AccessPattern]
+    patterns: Tuple[AccessPattern, ...]
     edge_bytes: int
     coalesced_runs: int
 
@@ -75,16 +75,14 @@ def coalesced_run_lengths(
     offsets, counts = offsets[keep], counts[keep]
     if offsets.size == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(offsets, kind="stable")
-    offsets, counts = offsets[order], counts[order]
+    if np.any(offsets[1:] < offsets[:-1]):  # the engine's frontiers are sorted
+        order = np.argsort(offsets, kind="stable")
+        offsets, counts = offsets[order], counts[order]
     ends = offsets + counts
     # A new run starts where this extent does not touch the previous end.
     breaks = np.ones(offsets.size, dtype=bool)
     breaks[1:] = offsets[1:] > ends[:-1]
-    run_ids = np.cumsum(breaks) - 1
-    run_lengths = np.zeros(int(run_ids[-1]) + 1, dtype=np.int64)
-    np.add.at(run_lengths, run_ids, counts)
-    return run_lengths
+    return np.add.reduceat(counts, np.flatnonzero(breaks))
 
 
 def plan_exact_prefetch(
@@ -127,7 +125,9 @@ def plan_exact_prefetch(
             )
         )
     return PrefetchPlan(
-        patterns=patterns, edge_bytes=edge_bytes, coalesced_runs=int(runs.size)
+        patterns=tuple(patterns),
+        edge_bytes=edge_bytes,
+        coalesced_runs=int(runs.size),
     )
 
 
@@ -188,5 +188,7 @@ def plan_baseline_fetch(
             )
         )
     return PrefetchPlan(
-        patterns=patterns, edge_bytes=edge_bytes, coalesced_runs=num_active
+        patterns=tuple(patterns),
+        edge_bytes=edge_bytes,
+        coalesced_runs=num_active,
     )

@@ -28,9 +28,12 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class DispatchOutcome:
     """Result of distributing one iteration's edge work.
+
+    Immutable, ``pe_loads`` included (a read-only view): observers share
+    one outcome per frontier.
 
     Attributes:
         pe_loads: edges assigned to each PE.
@@ -42,6 +45,11 @@ class DispatchOutcome:
     pe_loads: np.ndarray
     scheduling_ops: int
     num_splits: int
+
+    def __post_init__(self) -> None:
+        loads = np.asarray(self.pe_loads).view()
+        loads.flags.writeable = False
+        object.__setattr__(self, "pe_loads", loads)
 
     @property
     def max_load(self) -> int:

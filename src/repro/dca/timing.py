@@ -28,11 +28,9 @@ from typing import List
 
 import numpy as np
 
+from ..core import frontier_stats
 from ..core.coalesce import coalesced_store_bursts
-from ..core.prefetch import plan_exact_prefetch
-from ..core.scheduling import balanced_dispatch
 from ..core.update_bitmap import ReadyToUpdateBitmap
-from ..core.vectorize import vectorize_workloads
 from ..graph.csr import CSRGraph
 from ..graph.slicing import plan_slices
 from ..memory.hbm import HBMModel
@@ -155,12 +153,14 @@ class DCATimingModel:
         # Lanes pull balanced chunks themselves; the only front-end cost
         # is one decision per active vertex (vs GraphDynS's per-split
         # central Dispatcher ops).
-        outcome = balanced_dispatch(
-            data.active_degrees, cfg.num_lanes, cfg.e_threshold
+        frontier = data.frontier
+        outcome = frontier.memo(
+            frontier_stats.balanced_dispatch, cfg.num_lanes, cfg.e_threshold
         )
         self.scheduling_ops += data.num_active
-        chunk_sizes = np.minimum(data.active_degrees, cfg.e_list_size)
-        vec = vectorize_workloads(chunk_sizes, cfg.n_simt, combine_small=True)
+        vec = frontier.memo(
+            frontier_stats.vectorize_workloads, cfg.e_list_size, cfg.n_simt
+        )
         lane_eff = max(vec.lane_efficiency, 1e-3)
         compute_cycles = outcome.max_load / (cfg.n_simt * lane_eff)
 
@@ -173,8 +173,8 @@ class DCATimingModel:
         update_cycles = float(loads.max()) + cfg.router_hop_cycles
 
         # --- Data access (exact prefetch, shared HBM) ---
-        plan = plan_exact_prefetch(
-            data.active_offsets, data.active_degrees, self.spec.uses_weights
+        plan = frontier.memo(
+            frontier_stats.plan_exact_prefetch, self.spec.uses_weights
         )
         patterns = list(plan.patterns)
         if num_slices > 1:

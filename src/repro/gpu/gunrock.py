@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-
+from ..core import frontier_stats
 from ..graph.csr import CSRGraph
-from ..memory.crossbar import grouped_duplicate_count
 from ..memory.hbm import HBMModel
 from ..memory.request import AccessPattern, Region
 from ..memory.traffic import TrafficLedger
@@ -29,7 +28,6 @@ from ..obs import get_recorder
 from ..vcpm.engine import IterationData, VCPMResult, run_vcpm
 from ..vcpm.spec import AlgorithmSpec
 from .config import V100_GUNROCK, GPUConfig
-from .warp import warp_divergence
 
 __all__ = ["GunrockTimingModel", "Gunrock"]
 
@@ -83,7 +81,8 @@ class GunrockTimingModel:
             num_edges = int(num_edges * cfg.cc_filter_work_factor)
 
         # ------------------------- compute -------------------------
-        warp = warp_divergence(data.active_degrees, cfg.warp_size)
+        frontier = data.frontier
+        warp = frontier.memo(frontier_stats.warp_divergence, cfg.warp_size)
         self.warp_excess_work += warp.excess_work
         # TWC recovers most of the divergence; the residue still serializes.
         effective_work = (
@@ -113,8 +112,7 @@ class GunrockTimingModel:
             )
         if num_edges:
             edge_bytes = 8 if self.spec.uses_weights else 4
-            nonzero = data.active_degrees[data.active_degrees > 0]
-            mean_list = float(nonzero.mean()) if nonzero.size else 1.0
+            mean_list = frontier.memo(frontier_stats.mean_nonzero_degree)
             # Edge lists stream per frontier vertex.
             patterns.append(
                 AccessPattern(
@@ -193,8 +191,8 @@ class GunrockTimingModel:
         if self._is_idempotent() or self._is_pull_based():
             atomic_cycles = 0.0  # no read-modify-write contention
         else:
-            conflicts = grouped_duplicate_count(
-                data.edge_dst, cfg.atomic_window
+            conflicts = frontier.memo(
+                frontier_stats.grouped_duplicate_count, cfg.atomic_window
             )
             atomic_cycles = conflicts * cfg.atomic_stall_cycles
         self.stall_cycles += atomic_cycles

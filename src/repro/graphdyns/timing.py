@@ -31,14 +31,12 @@ from typing import List
 
 import numpy as np
 
+from ..core import frontier_stats
 from ..core.coalesce import coalesced_store_bursts
-from ..core.prefetch import plan_exact_prefetch
-from ..core.scheduling import balanced_dispatch, hash_dispatch
 from ..core.update_bitmap import ReadyToUpdateBitmap
-from ..core.vectorize import vectorize_workloads
 from ..graph.csr import CSRGraph
 from ..graph.slicing import plan_slices
-from ..memory.crossbar import Crossbar, grouped_duplicate_count
+from ..memory.crossbar import Crossbar
 from ..memory.hbm import HBMModel
 from ..memory.request import AccessPattern, Region
 from ..memory.traffic import TrafficLedger
@@ -180,20 +178,21 @@ class GraphDynSTimingModel:
                 iteration=data.iteration, scatter_cycles=0.0, apply_cycles=0.0
             )
 
+        frontier = data.frontier
         # --- Workload management sub-datapath ---
         if cfg.enable_workload_balance:
-            outcome = balanced_dispatch(
-                data.active_degrees, cfg.num_pes, cfg.e_threshold
+            outcome = frontier.memo(
+                frontier_stats.balanced_dispatch, cfg.num_pes, cfg.e_threshold
             )
             # Sub-lists are bounded by eListSize for the S2V queues.
-            chunk_sizes = np.minimum(data.active_degrees, cfg.e_list_size)
+            list_bound = cfg.e_list_size
         else:
-            outcome = hash_dispatch(
-                data.active_ids, data.active_degrees, cfg.num_pes
-            )
-            chunk_sizes = data.active_degrees
+            outcome = frontier.memo(frontier_stats.hash_dispatch, cfg.num_pes)
+            list_bound = None
         self.scheduling_ops += outcome.scheduling_ops
-        vec = vectorize_workloads(chunk_sizes, cfg.n_simt, combine_small=True)
+        vec = frontier.memo(
+            frontier_stats.vectorize_workloads, list_bound, cfg.n_simt
+        )
         lane_eff = max(vec.lane_efficiency, 1e-3)
         compute_cycles = outcome.max_load / (cfg.n_simt * lane_eff)
 
@@ -204,8 +203,8 @@ class GraphDynSTimingModel:
         update_cycles = float(xbar.cycles)
         stall = 0.0
         if not cfg.enable_atomic_optimization:
-            conflicts = grouped_duplicate_count(
-                data.edge_dst, _RAW_CONFLICT_WINDOW
+            conflicts = frontier.memo(
+                frontier_stats.grouped_duplicate_count, _RAW_CONFLICT_WINDOW
             )
             stall = conflicts * _RAW_STALL_CYCLES
         update_cycles += stall
@@ -239,8 +238,8 @@ class GraphDynSTimingModel:
         cfg = self.config
         weighted = self.spec.uses_weights
         if cfg.enable_exact_prefetch:
-            plan = plan_exact_prefetch(
-                data.active_offsets, data.active_degrees, weighted
+            plan = data.frontier.memo(
+                frontier_stats.plan_exact_prefetch, weighted
             )
             patterns = list(plan.patterns)
         else:

@@ -20,12 +20,10 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-
-from ..core.prefetch import plan_baseline_fetch
-from ..core.scheduling import hash_dispatch
+from ..core import frontier_stats
 from ..graph.csr import CSRGraph
 from ..graph.slicing import plan_slices
-from ..memory.crossbar import Crossbar, grouped_duplicate_count
+from ..memory.crossbar import Crossbar
 from ..memory.hbm import HBMModel
 from ..memory.request import AccessPattern, Region
 from ..memory.traffic import TrafficLedger
@@ -129,9 +127,8 @@ class GraphicionadoTimingModel:
 
         # Hash-based source-side distribution: the busiest stream bounds
         # throughput (each stream retires one edge per cycle).
-        outcome = hash_dispatch(
-            data.active_ids, data.active_degrees, cfg.num_streams
-        )
+        frontier = data.frontier
+        outcome = frontier.memo(frontier_stats.hash_dispatch, cfg.num_streams)
         # Every edge is a front-end scheduling decision.
         self.scheduling_ops += outcome.scheduling_ops
         compute_cycles = float(outcome.max_load)
@@ -141,16 +138,15 @@ class GraphicionadoTimingModel:
         xbar = self.crossbar.route_batch(
             data.dst_loads(self.crossbar.num_outputs)
         )
-        conflicts = grouped_duplicate_count(data.edge_dst, cfg.conflict_window)
+        conflicts = frontier.memo(
+            frontier_stats.grouped_duplicate_count, cfg.conflict_window
+        )
         stall = conflicts * cfg.conflict_stall_cycles
         update_cycles = float(xbar.cycles) + stall
         self.stall_cycles += stall
 
-        plan = plan_baseline_fetch(
-            data.active_offsets,
-            data.active_degrees,
-            weighted=self.spec.uses_weights,
-            offset_cached_on_chip=True,
+        plan = frontier.memo(
+            frontier_stats.plan_baseline_fetch, self.spec.uses_weights
         )
         patterns = list(plan.patterns)
         num_slices = self.slice_plan.num_slices

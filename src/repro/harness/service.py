@@ -46,6 +46,7 @@ bit-identical ``RunReport`` JSON to a serial run.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -389,22 +390,51 @@ def canonical_reports_json(cells: Sequence["CellResult"]) -> str:
     )
 
 
+#: Envelope dtype of the property array: little-endian float64 bytes.
+_PROPERTIES_DTYPE = "<f8"
+
+
 def _functional_to_dict(result: VCPMResult) -> Dict[str, object]:
+    # Raw float64 bytes, not a JSON float list: bit-exact (NaN payloads
+    # and -0.0 included) and far cheaper to encode than one repr per value.
+    properties = np.ascontiguousarray(result.properties, dtype=_PROPERTIES_DTYPE)
     return {
         "algorithm": result.algorithm,
         "graph_name": result.graph_name,
         "source": result.source,
         "converged": result.converged,
-        "properties": result.properties.tolist(),
+        "properties": {
+            "dtype": _PROPERTIES_DTYPE,
+            "count": int(properties.size),
+            "b64": base64.b64encode(properties.tobytes()).decode("ascii"),
+        },
         "iterations": [dataclasses.asdict(t) for t in result.iterations],
     }
+
+
+def _properties_from_dict(data: Dict[str, object]) -> np.ndarray:
+    """The property array of an envelope; ``ValueError`` unless well formed.
+
+    Anything but ``<f8`` bytes whose decoded length is exactly
+    ``8 * count`` is rejected, so a truncated or stale entry reads as a
+    cache miss instead of serving wrong-sized properties.
+    """
+    count = data["count"]
+    if data["dtype"] != _PROPERTIES_DTYPE or type(count) is not int:
+        raise ValueError("unsupported property encoding")
+    raw = base64.b64decode(data["b64"], validate=True)
+    if len(raw) != 8 * count:
+        raise ValueError(
+            f"property payload holds {len(raw)} bytes, expected {8 * count}"
+        )
+    return np.frombuffer(raw, dtype=_PROPERTIES_DTYPE).astype(np.float64)
 
 
 def _functional_from_dict(data: Dict[str, object]) -> VCPMResult:
     return VCPMResult(
         algorithm=data["algorithm"],
         graph_name=data["graph_name"],
-        properties=np.asarray(data["properties"], dtype=np.float64),
+        properties=_properties_from_dict(data["properties"]),
         iterations=[IterationTrace(**t) for t in data["iterations"]],
         converged=data["converged"],
         source=data["source"],

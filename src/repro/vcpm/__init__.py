@@ -14,6 +14,7 @@ from .algorithms import (
     get_algorithm,
 )
 from .engine import (
+    Frontier,
     IterationData,
     IterationObserver,
     IterationTrace,
@@ -65,6 +66,7 @@ __all__ = [
     "PR_BETA",
     "algorithm_names",
     "get_algorithm",
+    "Frontier",
     "IterationData",
     "IterationObserver",
     "IterationTrace",

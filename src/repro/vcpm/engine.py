@@ -13,10 +13,18 @@ runtime:
   Ready-to-Update Bitmap contents),
 * the set of vertices activated by Apply.
 
-Every array of :class:`IterationData` is a read-only view, and
-:meth:`IterationData.dst_loads` folds one cached destination histogram per
-iteration to any width -- the crossbar's ``dst mod outputs`` hash route and
-DCA's ``dst mod lanes`` ownership read the same statistic.
+The scatter-side half of that (active ids, degrees, offsets and the
+destination stream) is a :class:`Frontier`.  Everything the timing models
+derive from it -- dispatch loads, prefetch plans, lane packing, RAW
+conflicts, and the destination histogram that :meth:`Frontier.dst_loads`
+folds to any width -- is computed once per frontier through
+:meth:`Frontier.memo` and shared by every observer.  A memoized function
+reads only the frontier (never ``modified_ids`` or ``activated_ids``) and
+returns an immutable value.  When the next iteration's active set is again
+every vertex (the ``resets_tprop_each_iteration`` specs, i.e. PR), the
+engine keeps the frontier, its gathers and its memo instead of rebuilding
+them; that is a decision made from the spec, never from comparing arrays.
+Every array an observer sees is a read-only view.
 
 Timing models subscribe as :class:`IterationObserver`; one functional run can
 drive any number of accelerator models, which keeps benchmarks honest (every
@@ -30,8 +38,18 @@ hardware performs.
 from __future__ import annotations
 
 import dataclasses
-import functools
-from typing import List, Optional, Protocol, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -40,6 +58,7 @@ from ..obs import get_recorder
 from .spec import AlgorithmSpec
 
 __all__ = [
+    "Frontier",
     "IterationData",
     "IterationTrace",
     "VCPMResult",
@@ -47,6 +66,8 @@ __all__ = [
     "run_vcpm",
     "gather_edge_indices",
 ]
+
+T = TypeVar("T")
 
 
 def gather_edge_indices(
@@ -69,69 +90,88 @@ def gather_edge_indices(
     return base + np.arange(total, dtype=np.int64)
 
 
-_ARRAY_FIELDS = (
-    "active_ids",
-    "active_degrees",
-    "active_offsets",
-    "edge_dst",
-    "modified_ids",
-    "activated_ids",
-)
+def _read_only(array) -> np.ndarray:
+    view = np.asarray(array).view()
+    view.flags.writeable = False
+    return view
 
 
-@dataclasses.dataclass
-class IterationData:
-    """Everything one iteration exposes to timing observers.
+def _dst_histogram(frontier: "Frontier") -> np.ndarray:
+    return _read_only(
+        np.bincount(frontier.edge_dst, minlength=frontier.num_vertices)
+    )
 
-    Arrays are shared (not copied) and stored as read-only views, so an
-    observer that writes into one raises ``ValueError``; the cached
-    destination histogram behind :meth:`dst_loads` relies on this.
+
+def _fold_dst_loads(frontier: "Frontier", width: int) -> np.ndarray:
+    hist = frontier.memo(_dst_histogram)
+    return _read_only(
+        np.pad(hist, (0, -hist.size % width)).reshape(-1, width).sum(axis=0)
+    )
+
+
+class Frontier:
+    """The scatter-side view of one active set, and a memo of what it implies.
+
+    In Algorithm 2 every active vertex carries its ``offset`` and
+    ``edgeCnt``, so dispatch balance, prefetch runs, lane packing and RAW
+    conflicts are functions of the frontier alone.  :meth:`memo` computes
+    each such statistic once per frontier, however many observers read it,
+    and :func:`run_vcpm` keeps one ``Frontier`` (memo included) across
+    iterations whose active set is again every vertex.
+
+    Memo rule: a memoized function reads only the ``Frontier`` it is given
+    -- never the iteration's Apply outcome -- and returns an immutable
+    value (a frozen dataclass, a number, or a read-only array), because
+    every caller receives the same object.
 
     Attributes:
-        iteration: zero-based iteration index.
         active_ids: ids of active vertices, in dispatch order.
         active_degrees: ``edgeCnt`` for each active vertex.
         active_offsets: ``offset`` for each active vertex.
         edge_dst: destination vertex id of every processed edge, in
             traversal order (concatenated per-active-vertex edge lists).
-        modified_ids: vertices whose temporary property changed this
-            iteration (contents of the Ready-to-Update Bitmap).
-        activated_ids: vertices activated for the next iteration.
-        num_vertices: total vertex count (Apply-phase width without update
-            scheduling).
+        num_vertices: total vertex count of the graph.
+
+    The arrays are read-only views, so writing into one raises
+    ``ValueError``.
     """
 
-    iteration: int
-    active_ids: np.ndarray
-    active_degrees: np.ndarray
-    active_offsets: np.ndarray
-    edge_dst: np.ndarray
-    modified_ids: np.ndarray
-    activated_ids: np.ndarray
-    num_vertices: int
+    def __init__(
+        self,
+        active_ids: np.ndarray,
+        active_degrees: np.ndarray,
+        active_offsets: np.ndarray,
+        edge_dst: np.ndarray,
+        num_vertices: int,
+    ) -> None:
+        self.active_ids = _read_only(active_ids)
+        self.active_degrees = _read_only(active_degrees)
+        self.active_offsets = _read_only(active_offsets)
+        self.edge_dst = _read_only(edge_dst)
+        self.num_vertices = num_vertices
+        self._memo: Dict[Tuple[Callable[..., Any], Tuple[Any, ...]], Any] = {}
 
-    def __post_init__(self) -> None:
-        for field in _ARRAY_FIELDS:
-            view = np.asarray(getattr(self, field)).view()
-            view.flags.writeable = False
-            setattr(self, field, view)
-
-    @functools.cached_property
-    def _dst_histogram(self) -> np.ndarray:
-        return np.bincount(self.edge_dst, minlength=self.num_vertices)
+    def memo(self, fn: Callable[..., T], *args: Hashable) -> T:
+        """``fn(self, *args)``, computed once per frontier per ``(fn, args)``."""
+        key = (fn, args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = fn(self, *args)
+            return value
 
     def dst_loads(self, width: int) -> np.ndarray:
         """Edges per ``dst % width`` bucket, folded from one histogram.
 
         Equal to ``np.bincount(edge_dst % width, minlength=width)``
         (dtype included): the per-vertex histogram is computed once per
-        iteration, padded to a multiple of ``width``, reshaped to
-        ``(-1, width)`` and summed over axis 0.
+        frontier, padded to a multiple of ``width``, reshaped to
+        ``(-1, width)`` and summed over axis 0.  Each width's fold is
+        memoized too, and returned read-only.
         """
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        hist = self._dst_histogram
-        return np.pad(hist, (0, -hist.size % width)).reshape(-1, width).sum(axis=0)
+        return self.memo(_fold_dst_loads, width)
 
     @property
     def num_active(self) -> int:
@@ -140,6 +180,67 @@ class IterationData:
     @property
     def num_edges(self) -> int:
         return int(self.edge_dst.size)
+
+
+@dataclasses.dataclass
+class IterationData:
+    """Everything one iteration exposes to timing observers.
+
+    The scatter side lives in :attr:`frontier` (shared by every observer,
+    and across iterations while the active set is every vertex); the
+    Apply outcome is per-iteration.  The frontier's arrays are forwarded
+    as properties, so ``data.active_degrees`` reads
+    ``data.frontier.active_degrees``.  Every array is a read-only view.
+
+    Attributes:
+        iteration: zero-based iteration index.
+        frontier: the active set and its memoized scatter-side statistics.
+        modified_ids: vertices whose temporary property changed this
+            iteration (contents of the Ready-to-Update Bitmap).
+        activated_ids: vertices activated for the next iteration.
+    """
+
+    iteration: int
+    frontier: Frontier
+    modified_ids: np.ndarray
+    activated_ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.modified_ids = _read_only(self.modified_ids)
+        self.activated_ids = _read_only(self.activated_ids)
+
+    @property
+    def active_ids(self) -> np.ndarray:
+        return self.frontier.active_ids
+
+    @property
+    def active_degrees(self) -> np.ndarray:
+        return self.frontier.active_degrees
+
+    @property
+    def active_offsets(self) -> np.ndarray:
+        return self.frontier.active_offsets
+
+    @property
+    def edge_dst(self) -> np.ndarray:
+        return self.frontier.edge_dst
+
+    @property
+    def num_vertices(self) -> int:
+        """Total vertex count (Apply-phase width without update scheduling)."""
+        return self.frontier.num_vertices
+
+    def dst_loads(self, width: int) -> np.ndarray:
+        """:meth:`Frontier.dst_loads` of this iteration's frontier."""
+        return self.frontier.dst_loads(width)
+
+    @property
+    def num_active(self) -> int:
+        return self.frontier.num_active
+
+    @property
+    def num_edges(self) -> int:
+        return self.frontier.num_edges
 
     @property
     def num_modified(self) -> int:
@@ -286,6 +387,12 @@ def run_vcpm(
         if spec.uses_degree_cprop and num_vertices:
             prop = prop / np.maximum(c_prop, 1.0)
 
+    # True while `active` is every vertex, so an accumulating spec's next
+    # iteration can keep the frontier (and its memo) instead of rebuilding it.
+    all_active = spec.all_vertices_active_initially and not continuing
+    frontier: Optional[Frontier] = None
+    edge_w: Optional[np.ndarray] = None
+
     traces: List[IterationTrace] = []
     converged = False
     rec = get_recorder()
@@ -304,16 +411,26 @@ def run_vcpm(
         ) as iter_span:
             # ----------------------- Scatter phase -----------------------
             with rec.span("vcpm.scatter", track="vcpm"):
-                edge_idx = gather_edge_indices(graph.offsets, active)
-                edge_dst = graph.edges[edge_idx]
-                # Unweighted specs get None and skip the gather; the
-                # float64 cast keeps custom process_edge math in float64.
-                edge_w = (
-                    graph.weights[edge_idx].astype(np.float64)
-                    if spec.uses_weights
-                    else None
-                )
-                degrees = graph.offsets[active + 1] - graph.offsets[active]
+                if frontier is None:
+                    edge_idx = gather_edge_indices(graph.offsets, active)
+                    frontier = Frontier(
+                        active_ids=active,
+                        active_degrees=(
+                            graph.offsets[active + 1] - graph.offsets[active]
+                        ),
+                        active_offsets=graph.offsets[active],
+                        edge_dst=graph.edges[edge_idx],
+                        num_vertices=num_vertices,
+                    )
+                    # Unweighted specs get None and skip the gather; the
+                    # float64 cast keeps custom process_edge math in float64.
+                    edge_w = (
+                        _read_only(graph.weights[edge_idx].astype(np.float64))
+                        if spec.uses_weights
+                        else None
+                    )
+                edge_dst = frontier.edge_dst
+                degrees = frontier.active_degrees
                 u_prop = np.repeat(prop[active], degrees)
 
                 results = spec.process_edge(u_prop, edge_w)
@@ -331,13 +448,9 @@ def run_vcpm(
 
             data = IterationData(
                 iteration=iteration,
-                active_ids=active,
-                active_degrees=degrees,
-                active_offsets=graph.offsets[active],
-                edge_dst=edge_dst,
+                frontier=frontier,
                 modified_ids=modified,
                 activated_ids=activated,
-                num_vertices=num_vertices,
             )
             # Timing observers advance the trace clock by their modeled
             # cycles, which becomes this iteration span's duration.
@@ -375,9 +488,11 @@ def run_vcpm(
             if delta < pr_tolerance:
                 converged = True
                 break
-            active = np.arange(num_vertices, dtype=np.int64)
+            if not all_active:
+                active = np.arange(num_vertices, dtype=np.int64)
+                all_active, frontier = True, None
         else:
-            active = activated
+            active, frontier = activated, None
             if active.size == 0:
                 converged = True
                 break

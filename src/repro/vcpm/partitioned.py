@@ -37,6 +37,7 @@ from ..graph.slicing import (
 )
 from ..obs import get_recorder
 from .engine import (
+    Frontier,
     IterationData,
     IterationObserver,
     IterationTrace,
@@ -321,13 +322,15 @@ def run_vcpm_partitioned(
 
             data = IterationData(
                 iteration=iteration,
-                active_ids=active,
-                active_degrees=degrees,
-                active_offsets=graph.offsets[active],
-                edge_dst=edge_dst,
+                frontier=Frontier(
+                    active_ids=active,
+                    active_degrees=degrees,
+                    active_offsets=graph.offsets[active],
+                    edge_dst=edge_dst,
+                    num_vertices=num_vertices,
+                ),
                 modified_ids=modified,
                 activated_ids=activated,
-                num_vertices=num_vertices,
             )
             with rec.span("vcpm.observe", track="vcpm"):
                 for observer in observers:

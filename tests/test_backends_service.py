@@ -7,6 +7,7 @@ envelope, parallel-vs-serial matrix equivalence, and the versioned
 report schema.
 """
 
+import base64
 import dataclasses
 import io
 import json
@@ -463,6 +464,11 @@ class TestEnvelopeRoundTrip:
         )
 
 
+def _stored_properties(envelope):
+    stored = envelope["functional"]["properties"]
+    return np.frombuffer(base64.b64decode(stored["b64"]), dtype=stored["dtype"])
+
+
 @pytest.fixture(scope="module")
 def warm_entry(tmp_path_factory):
     """One real cached cell: (service, request, path, envelope text)."""
@@ -549,6 +555,16 @@ class TestLoadCachedRejection:
             lambda env: env.update(reports=[1, 2, 3]),
             lambda env: env["functional"].pop("properties"),
             lambda env: env["functional"].update(iterations=[{"bad": 1}]),
+            lambda env: env["functional"]["properties"].update(
+                b64=env["functional"]["properties"]["b64"][:-8]
+            ),
+            lambda env: env["functional"]["properties"].update(
+                count=env["functional"]["properties"]["count"] + 1
+            ),
+            lambda env: env["functional"]["properties"].update(dtype="<f4"),
+            lambda env: env["functional"].update(
+                properties=_stored_properties(env).tolist()
+            ),
         ],
         ids=[
             "no-functional",
@@ -556,6 +572,10 @@ class TestLoadCachedRejection:
             "reports-not-a-dict",
             "no-properties",
             "bad-iteration-fields",
+            "truncated-payload",
+            "count-mismatch",
+            "wrong-dtype",
+            "old-list-form",
         ],
     )
     def test_structurally_broken_envelopes_rejected(

@@ -102,7 +102,7 @@ class TestExactPrefetch:
 
     def test_empty_frontier(self):
         plan = plan_exact_prefetch(np.array([]), np.array([]))
-        assert plan.patterns == []
+        assert plan.patterns == ()
         assert plan.total_bytes == 0
 
 

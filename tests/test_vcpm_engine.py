@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import backends
+from repro.core import scheduling
+from repro.graph import CSRGraph, datasets
+from repro.graphdyns.config import DEFAULT_CONFIG
+from repro.graphdyns.timing import GraphDynSTimingModel
+from repro.memory import crossbar
 from repro.vcpm import (
     ALGORITHMS,
+    EXTENSION_ALGORITHMS,
+    Frontier,
     IterationData,
     gather_edge_indices,
     reference,
@@ -275,13 +283,15 @@ def _iteration(edge_dst, num_vertices) -> IterationData:
     empty = np.zeros(0, dtype=np.int64)
     return IterationData(
         iteration=0,
-        active_ids=empty,
-        active_degrees=empty,
-        active_offsets=empty,
-        edge_dst=np.asarray(edge_dst, dtype=np.int64),
+        frontier=Frontier(
+            active_ids=empty,
+            active_degrees=empty,
+            active_offsets=empty,
+            edge_dst=np.asarray(edge_dst, dtype=np.int64),
+            num_vertices=num_vertices,
+        ),
         modified_ids=empty,
         activated_ids=empty,
-        num_vertices=num_vertices,
     )
 
 
@@ -346,3 +356,168 @@ class TestDstLoads:
     def test_rejects_non_positive_width(self, width):
         with pytest.raises(ValueError, match="width"):
             _iteration([0, 1], 2).dst_loads(width)
+
+
+# ---------------------------------------------------------------------------
+# Frontier memo: sharing across observers and PR's carried frontier
+# ---------------------------------------------------------------------------
+
+_ALL_SPECS = {**ALGORITHMS, **EXTENSION_ALGORITHMS}
+
+#: Observers under test: the four built-in backends' defaults plus the
+#: GraphDynS configs that switch the shared statistics they read.
+_OBSERVER_CONFIGS = {
+    "GraphDynS": DEFAULT_CONFIG,
+    "GraphDynS-no-AO": DEFAULT_CONFIG.with_ablation(atomic_optimization=False),
+    "GraphDynS-no-exact": DEFAULT_CONFIG.with_ablation(exact_prefetch=False),
+    "GraphDynS-no-balance": DEFAULT_CONFIG.with_ablation(workload_balance=False),
+}
+
+
+def _observers(graph, spec):
+    observers = {
+        name: GraphDynSTimingModel(graph, spec, config)
+        for name, config in _OBSERVER_CONFIGS.items()
+    }
+    for name in ("Graphicionado", "Gunrock", "DCA"):
+        observers[name] = backends.create(name).make_observer(graph, spec)
+    return observers
+
+
+class _Unmemoized(Frontier):
+    """Recomputes every statistic from the arrays on every read."""
+
+    def memo(self, fn, *args):
+        return fn(self, *args)
+
+
+class _OracleFeed:
+    """Hands one observer private, unmemoized copies of each iteration."""
+
+    def __init__(self, observer):
+        self.observer = observer
+
+    def on_iteration(self, data):
+        f = data.frontier
+        self.observer.on_iteration(
+            IterationData(
+                iteration=data.iteration,
+                frontier=_Unmemoized(
+                    f.active_ids.copy(),
+                    f.active_degrees.copy(),
+                    f.active_offsets.copy(),
+                    f.edge_dst.copy(),
+                    f.num_vertices,
+                ),
+                modified_ids=data.modified_ids.copy(),
+                activated_ids=data.activated_ids.copy(),
+            )
+        )
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 14))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=50
+        )
+    )
+    weights = draw(
+        st.lists(
+            st.integers(1, 9).map(float), min_size=len(edges), max_size=len(edges)
+        )
+    )
+    return CSRGraph.from_edge_list(n, edges, weights, name="hyp")
+
+
+class TestFrontierMemo:
+    @settings(max_examples=25, deadline=None)
+    @given(graph=_small_graphs())
+    def test_shared_memo_matches_unmemoized_oracle(self, graph):
+        for spec in _ALL_SPECS.values():
+            shared = _observers(graph, spec)
+            oracle = _observers(graph, spec)
+            run_vcpm(graph, spec, observers=list(shared.values()))
+            run_vcpm(
+                graph, spec, observers=[_OracleFeed(o) for o in oracle.values()]
+            )
+            for name, observer in shared.items():
+                expected = oracle[name]
+                label = f"{spec.name}/{name}"
+                assert observer.phases == expected.phases, label
+                assert observer.stall_cycles == expected.stall_cycles, label
+                assert observer.traffic == expected.traffic, label
+                assert observer.total_cycles == expected.total_cycles, label
+
+    def test_pr_computes_each_shared_plan_once(self, monkeypatch):
+        graph = datasets.load("FR")
+        conflict_widths = []
+        dispatches = []
+        real_conflicts = crossbar.grouped_duplicate_count
+        real_dispatch = scheduling.balanced_dispatch
+
+        def counting_conflicts(dst, width):
+            conflict_widths.append(width)
+            return real_conflicts(dst, width)
+
+        def counting_dispatch(*args, **kwargs):
+            dispatches.append(args)
+            return real_dispatch(*args, **kwargs)
+
+        monkeypatch.setattr(crossbar, "grouped_duplicate_count", counting_conflicts)
+        monkeypatch.setattr(scheduling, "balanced_dispatch", counting_dispatch)
+        spec = ALGORITHMS["PR"]
+        observers = [
+            backends.create(name).make_observer(graph, spec)
+            for name in ("GraphDynS", "Graphicionado", "Gunrock", "DCA")
+        ]
+        result = run_vcpm(graph, spec, observers=observers)
+        assert result.num_iterations == 10
+        # Graphicionado's 10 conflict counts and GraphDynS + DCA's 20
+        # dispatches collapse to one each.
+        assert conflict_widths.count(8) == 1
+        assert len(dispatches) == 1
+
+    @staticmethod
+    def _frontiers(graph, spec, **kwargs):
+        seen = []
+
+        class Probe:
+            def on_iteration(self, data):
+                seen.append(data.frontier)
+
+        run_vcpm(graph, spec, observers=[Probe()], **kwargs)
+        return seen
+
+    def test_pr_keeps_one_frontier(self, small_powerlaw):
+        frontiers = self._frontiers(small_powerlaw, ALGORITHMS["PR"])
+        assert len(frontiers) == 10
+        assert all(f is frontiers[0] for f in frontiers)
+
+    @pytest.mark.parametrize("name", ["BFS", "SSSP", "CC"])
+    def test_other_specs_get_a_fresh_frontier_each_iteration(
+        self, name, small_powerlaw
+    ):
+        frontiers = self._frontiers(small_powerlaw, ALGORITHMS[name])
+        assert len(frontiers) >= 2
+        assert len({id(f) for f in frontiers}) == len(frontiers)
+        if name == "CC":
+            # CC starts from every vertex too, but is not carried.
+            assert frontiers[0].num_active == small_powerlaw.num_vertices
+            assert frontiers[1] is not frontiers[0]
+
+    def test_continuation_never_aliases_initial_active(self, small_powerlaw):
+        spec = ALGORITHMS["BFS"]
+        cold = run_vcpm(small_powerlaw, spec, source=0, max_iterations=2)
+        initial_active = np.arange(0, small_powerlaw.num_vertices, 7)
+        frontiers = self._frontiers(
+            small_powerlaw,
+            spec,
+            source=0,
+            initial_properties=cold.properties,
+            initial_active=initial_active,
+        )
+        assert frontiers
+        for frontier in frontiers:
+            assert not np.shares_memory(frontier.active_ids, initial_active)
