@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph", "GraphError", "sorted_unique"]
+__all__ = ["CSRGraph", "GraphError", "radix_argsort", "sorted_unique"]
 
 
 class GraphError(ValueError):
@@ -40,6 +40,25 @@ def sorted_unique(values) -> np.ndarray:
     keep = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+def radix_argsort(keys, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    An LSD radix sort over 16-bit digits.  Each pass is numpy's O(n)
+    stable argsort of one ``uint16`` digit (itself a radix sort), so keys
+    below 2**16 take one pass and keys below 2**32 two, where the stable
+    argsort of an int64 array is an O(n log n) comparison sort: 3-4x
+    slower on the dataset build path.
+    """
+    keys = np.asarray(keys)
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = (keys >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+        shift += 16
+    return order
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,34 +181,61 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build a CSR graph from an ``(src, dst)`` edge list.
 
-        Edges are sorted by source (stable in destination order).  Duplicate
-        edges are retained; self-loops are retained.
+        Edges are grouped by source; each row keeps its edges in input
+        order (rows are not sorted by destination).  Duplicate edges and
+        self-loops are retained.
         """
-        if num_vertices < 0:
-            raise GraphError("num_vertices must be non-negative")
         arr = np.asarray(edge_list, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphError("edge_list must be an (E, 2) array of (src, dst)")
-        src, dst = arr[:, 0], arr[:, 1]
-        if arr.shape[0]:
+        return cls.from_arrays(num_vertices, arr[:, 0], arr[:, 1], weights, name)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        num_vertices: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weights: Optional[Sequence[float] | np.ndarray] = None,
+        name: str = "graph",
+    ) -> "CSRGraph":
+        """:meth:`from_edge_list` for parallel ``src`` and ``dst`` id arrays.
+
+        Same edge order, without the ``(E, 2)`` array a caller holding
+        separate endpoint arrays would have to stack.
+        """
+        if num_vertices < 0:
+            raise GraphError("num_vertices must be non-negative")
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise GraphError("src and dst must be parallel 1-D arrays")
+        if src.size:
             if src.min() < 0 or src.max() >= num_vertices:
                 raise GraphError("edge source out of range")
             if dst.min() < 0 or dst.max() >= num_vertices:
                 raise GraphError("edge destination out of range")
         if weights is None:
-            wts = np.ones(arr.shape[0], dtype=np.float32)
+            wts = np.ones(src.size, dtype=np.float32)
         else:
             wts = np.asarray(weights, dtype=np.float32)
-            if wts.shape != (arr.shape[0],):
+            if wts.shape != src.shape:
                 raise GraphError("weights must be parallel to edge_list")
-        order = np.argsort(src, kind="stable")
-        src, dst, wts = src[order], dst[order], wts[order]
+        # The long-lived arrays are allocated before the sort's
+        # temporaries, which are then freed from above them rather than
+        # leaving edge-sized holes between a graph's arrays.
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(offsets, src + 1, 1)
-        offsets = np.cumsum(offsets)
-        return cls(offsets=offsets, edges=dst, weights=wts, name=name)
+        edges = np.empty(src.size, dtype=np.int64)
+        edge_weights = np.empty(src.size, dtype=np.float32)
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
+        order = radix_argsort(src, num_vertices)
+        # mode="clip" (a no-op: every index is in range) writes straight
+        # into ``out``; the default mode gathers into a buffered copy.
+        np.take(dst, order, out=edges, mode="clip")
+        np.take(wts, order, out=edge_weights, mode="clip")
+        return cls(offsets=offsets, edges=edges, weights=edge_weights, name=name)
 
     @classmethod
     def empty(cls, num_vertices: int = 0, name: str = "empty") -> "CSRGraph":
@@ -206,10 +252,12 @@ class CSRGraph:
     # ------------------------------------------------------------------
     def reverse(self) -> "CSRGraph":
         """The transpose graph (all edges reversed)."""
-        sources = self.edge_sources()
-        pairs = np.stack([self.edges, sources], axis=1)
-        return CSRGraph.from_edge_list(
-            self.num_vertices, pairs, self.weights, name=f"{self.name}^T"
+        return CSRGraph.from_arrays(
+            self.num_vertices,
+            self.edges,
+            self.edge_sources(),
+            self.weights,
+            name=f"{self.name}^T",
         )
 
     def with_weights(self, weights: np.ndarray, name: Optional[str] = None) -> "CSRGraph":
@@ -241,11 +289,10 @@ class CSRGraph:
         temporary vertex properties.
         """
         mask = (self.edges >= vertex_lo) & (self.edges < vertex_hi)
-        sources = self.edge_sources()[mask]
-        pairs = np.stack([sources, self.edges[mask]], axis=1)
-        return CSRGraph.from_edge_list(
+        return CSRGraph.from_arrays(
             self.num_vertices,
-            pairs,
+            self.edge_sources()[mask],
+            self.edges[mask],
             self.weights[mask],
             name=f"{self.name}[{vertex_lo}:{vertex_hi})",
         )

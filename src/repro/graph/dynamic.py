@@ -45,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph, GraphError, sorted_unique
+from .csr import CSRGraph, GraphError, radix_argsort, sorted_unique
 
 __all__ = [
     "DYNAMIC_SCHEMA_VERSION",
@@ -216,15 +216,32 @@ def _canonical_csr(
 
     Sorts every edge; used once per :class:`DynamicGraph`, whose input
     order is arbitrary.  Batches are merged by :func:`_merge_batch`.
+    The order is ``np.lexsort((weights, dst, src))``, computed as three
+    stable radix passes, least significant key first.
     """
-    order = np.lexsort((weights, dst, src))
-    src = src[order]
-    dst = dst[order]
-    weights = weights[order]
+    order = radix_argsort(_weight_keys(weights), 1 << 32)
+    order = order[radix_argsort(dst[order], num_vertices)]
+    order = order[radix_argsort(src[order], num_vertices)]
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    return CSRGraph(offsets=offsets, edges=dst, weights=weights, name=name)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
+    return CSRGraph(
+        offsets=offsets, edges=dst[order], weights=weights[order], name=name
+    )
+
+
+def _weight_keys(weights: np.ndarray) -> np.ndarray:
+    """``uint32`` keys that order float32 weights as ``np.lexsort`` does.
+
+    Non-negative floats set the sign bit and negative ones flip every
+    bit, so unsigned order is numeric order.  As in numpy's sort, -0.0
+    ties with 0.0 (adding +0.0 maps it there) and every NaN ties with
+    every other NaN, after +inf.
+    """
+    weights = np.asarray(weights, dtype=np.float32)
+    bits = (weights + np.float32(0.0)).view(np.uint32)
+    keys = np.where(bits >> 31 == 1, ~bits, bits | np.uint32(1 << 31))
+    keys[np.isnan(weights)] = np.uint32(0xFFFFFFFF)
+    return keys
 
 
 def _content_fingerprint(graph: CSRGraph) -> str:

@@ -38,6 +38,10 @@ __all__ = [
 #: stream); change it only together with the dataset fingerprint.
 RMAT_CHUNK_EDGES = 1 << 20
 
+#: Edges per block of :func:`power_law_graph`'s draw and relabelling
+#: (bounds their temporaries; any block size draws the same graph).
+_DRAW_BLOCK = 1 << 16
+
 # Standard Graph500 RMAT partition probabilities.
 _RMAT_A, _RMAT_B, _RMAT_C, _RMAT_D = 0.57, 0.19, 0.19, 0.05
 
@@ -93,9 +97,8 @@ def rmat_graph(
     perm = rng.permutation(num_vertices)
     src, dst = perm[src], perm[dst]
     weights = rng.integers(0, 256, size=num_edges).astype(np.float32)
-    pairs = np.stack([src, dst], axis=1)
-    return CSRGraph.from_edge_list(
-        num_vertices, pairs, weights, name=name or f"RMAT{scale}"
+    return CSRGraph.from_arrays(
+        num_vertices, src, dst, weights, name=name or f"RMAT{scale}"
     )
 
 
@@ -220,15 +223,67 @@ def power_law_graph(
         for _ in range(4):  # clip-and-renormalize to a fixpoint
             attach = np.minimum(attach, cap)
             attach /= attach.sum()
-    src = rng.choice(num_vertices, size=num_edges, p=attach)
-    dst = rng.choice(num_vertices, size=num_edges, p=attach)
+    # Sources and destinations are drawn into one array and relabelled in
+    # place, block by block, so these steps make no edge-sized temporaries.
+    cdf, guide = _inverse_cdf(attach)
+    ends = np.empty((2, num_edges), dtype=np.int64)
+    for row in ends:
+        _weighted_draw(rng, cdf, guide, out=row)
     # Shuffle ids so vertex id does not correlate with degree (mirrors the
     # arbitrary vertex numbering of crawled graphs).
     perm = rng.permutation(num_vertices)
-    src, dst = perm[src], perm[dst]
+    for start in range(0, num_edges, _DRAW_BLOCK):
+        block = ends[:, start:start + _DRAW_BLOCK]
+        block[...] = perm[block]
     weights = rng.integers(0, 256, size=num_edges).astype(np.float32)
-    pairs = np.stack([src, dst], axis=1)
-    return CSRGraph.from_edge_list(num_vertices, pairs, weights, name=name)
+    return CSRGraph.from_arrays(num_vertices, ends[0], ends[1], weights, name=name)
+
+
+def _inverse_cdf(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(cdf, guide)`` pair :func:`_weighted_draw` samples ``p`` with.
+
+    ``cdf`` is computed exactly as ``Generator.choice`` computes it.
+    ``guide[k]`` is the number of ``cdf`` entries ``<= k / K`` for a
+    power of two ``K >= 4 * len(p)``.  ``cdf * K`` is exact, so that is
+    ``#{i : ceil(cdf[i] * K) <= k}``: a step function that takes the
+    value ``i`` on ``[ceil(cdf[i-1] * K), ceil(cdf[i] * K))``, built by
+    one ``np.repeat`` with only ``len(p)``-sized temporaries.
+    """
+    cdf = np.cumsum(p, dtype=np.float64)
+    cdf /= cdf[-1]
+    scale = 1 << (4 * cdf.size - 1).bit_length()
+    steps = np.diff(np.ceil(cdf * scale).astype(np.int64), prepend=0)
+    index_type = np.int32 if cdf.size <= np.iinfo(np.int32).max else np.int64
+    return cdf, np.repeat(np.arange(cdf.size, dtype=index_type), steps)
+
+
+def _weighted_draw(
+    rng: np.random.Generator, cdf: np.ndarray, guide: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with ``rng.choice(len(p), out.size, p=p)`` for the
+    ``(cdf, guide)`` of ``p``, and return it.
+
+    numpy defines that draw as one ``rng.random(size)`` followed by
+    ``cdf.searchsorted(u, side="right")``.  This consumes the same
+    uniforms and returns the same indices in O(1) expected time each:
+    ``u * K`` is exact, so ``k = floor(u * K)`` puts ``u`` in
+    ``[k / K, (k + 1) / K)`` and the answer is ``guide[k]`` unless
+    ``cdf[guide[k]] <= u``; only those samples (a few percent) are
+    searched.  The equality with ``choice`` is pinned by a test, which
+    flags a numpy release that changes its definition.
+
+    The uniforms are drawn in blocks of ``_DRAW_BLOCK`` to bound the
+    temporaries; float64 ``rng.random`` yields the same values in
+    blocks as in one call.
+    """
+    scale = guide.size
+    for start in range(0, out.size, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, out.size - start))
+        idx = guide[(u * scale).astype(np.intp)]
+        miss = np.flatnonzero(cdf[idx] <= u)
+        idx[miss] = cdf.searchsorted(u[miss], side="right")
+        out[start:start + u.size] = idx
+    return out
 
 
 def uniform_random_graph(
@@ -242,8 +297,7 @@ def uniform_random_graph(
     src = rng.integers(0, num_vertices, size=num_edges)
     dst = rng.integers(0, num_vertices, size=num_edges)
     weights = rng.integers(0, 256, size=num_edges).astype(np.float32)
-    pairs = np.stack([src, dst], axis=1)
-    return CSRGraph.from_edge_list(num_vertices, pairs, weights, name=name)
+    return CSRGraph.from_arrays(num_vertices, src, dst, weights, name=name)
 
 
 def grid_graph(rows: int, cols: int, name: str = "grid") -> CSRGraph:

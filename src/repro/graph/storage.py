@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph, GraphError
+from .csr import CSRGraph, GraphError, radix_argsort
 
 __all__ = [
     "STORAGE_FORMAT_VERSION",
@@ -396,7 +396,7 @@ def _chunk_positions(
     ``order[i]``-th edge.  ``cursor`` (next free slot per vertex) is
     advanced in place.
     """
-    order = np.argsort(src, kind="stable")
+    order = radix_argsort(src, cursor.size)
     s_sorted = src[order]
     # Group boundaries of the sorted sources: ramp within each group.
     first = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])
