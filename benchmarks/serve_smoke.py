@@ -105,7 +105,7 @@ def run_baseline(root: str) -> Dict[str, object]:
     t0 = time.perf_counter()
     proc, url = start_daemon(workdir)
     try:
-        _, _, body = submit_job(url, ALGORITHMS, GRAPHS, client="smoke")
+        _, _, body = submit_job(url, ALGORITHMS, GRAPHS)
         job_id = body["job"]["id"]
         final = wait_for_job(url, job_id, timeout=WAIT_S)
         status, reports = fetch_result(url, job_id)
@@ -127,7 +127,7 @@ def run_crash_resume(root: str, baseline: Dict[str, object]) -> Dict[str, object
 
     # Phase 1: the daemon dies at the 2nd cell start, mid-matrix.
     proc, url = start_daemon(workdir, inject=("kill-daemon:2",))
-    _, _, body = submit_job(url, ALGORITHMS, GRAPHS, client="smoke")
+    _, _, body = submit_job(url, ALGORITHMS, GRAPHS)
     job_id = body["job"]["id"]
     crash_rc = proc.wait(timeout=120)
 

@@ -42,9 +42,9 @@ plan table; ``--url`` fans pending cells into a daemon's job queue).
 
 ``serve`` runs the durable simulation daemon
 (:mod:`repro.harness.serve`): an HTTP/JSON job API with a write-ahead
-journal (crash-safe resume), request coalescing, admission control with
-per-client rate limits and 429/503 + Retry-After backpressure, and
-graceful drain on SIGTERM.  ``submit``/``jobs`` are its thin clients.
+journal (crash-safe resume), request coalescing, a bounded FIFO queue
+(a full queue answers 503 + Retry-After), and graceful drain on
+SIGTERM.  ``submit``/``jobs`` are its thin clients.
 """
 
 from __future__ import annotations
@@ -348,18 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit the plan to a running daemon (pending cells fan "
         "into its job queue) instead of executing locally",
     )
-    run_spec.add_argument(
-        "--priority",
-        type=int,
-        default=None,
-        help="daemon queue priority for --url submissions "
-        "(default: the spec's own priority)",
-    )
 
     serve = sub.add_parser(
         "serve",
         parents=[sharding_flags],
-        help="run the durable, admission-controlled simulation daemon",
+        help="run the durable simulation daemon",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -392,21 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--capacity",
         type=int,
         default=64,
-        help="bounded queue capacity; beyond it submissions are shed or "
+        help="bounded queue capacity; beyond it submissions are "
         "rejected with 503 + Retry-After (default: 64)",
-    )
-    serve.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="per-client token-bucket rate in jobs/second; over-budget "
-        "clients get 429 + Retry-After (default: unlimited)",
-    )
-    serve.add_argument(
-        "--burst",
-        type=float,
-        default=10.0,
-        help="per-client token-bucket burst capacity (default: 10)",
     )
     serve.add_argument(
         "--max-running",
@@ -425,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=("thread", "process", "serial"),
         default="thread",
-        help="base executor tier; under load jobs degrade "
-        "process->thread->serial automatically (default: thread)",
+        help="executor every job runs on; a broken pool degrades "
+        "process->thread->serial (default: thread)",
     )
     serve.add_argument(
         "--deadline",
@@ -489,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="Table 4 dataset keys, e.g. FR PK RM22",
     )
-    submit.add_argument("--priority", type=int, default=0)
-    submit.add_argument("--client", default="cli")
     submit.add_argument(
         "--wait",
         action="store_true",
@@ -863,8 +841,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         use_cache=not args.no_cache,
         capacity=args.capacity,
-        rate=args.rate,
-        burst=args.burst,
         max_running=args.max_running,
         job_deadline=args.deadline,
         drain_timeout=args.drain_timeout,
@@ -890,13 +866,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from .harness.serve import fetch_result, submit_job, wait_for_job
 
-    status, headers, body = submit_job(
-        args.url,
-        args.algorithms,
-        args.graphs,
-        priority=args.priority,
-        client=args.client,
-    )
+    status, headers, body = submit_job(args.url, args.algorithms, args.graphs)
     if status != 202 or not isinstance(body, dict):
         retry = headers.get("Retry-After")
         hint = f" (Retry-After: {retry}s)" if retry else ""
@@ -941,8 +911,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         [
             job["id"],
             job["state"],
-            job["client"],
-            job["priority"],
             ",".join(job["algorithms"]),
             ",".join(job["graphs"]),
         ]
@@ -950,7 +918,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     ]
     print(
         render_table(
-            ["id", "state", "client", "prio", "algorithms", "graphs"],
+            ["id", "state", "algorithms", "graphs"],
             rows,
             title=f"daemon jobs ({len(rows)})",
         )
@@ -1107,10 +1075,7 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
             print(f"spec error: {exc}", file=sys.stderr)
             return 2
         status, _, body = submit_plan(
-            args.url,
-            yaml_text=text,
-            priority=args.priority,
-            dry_run=args.dry_run,
+            args.url, yaml_text=text, dry_run=args.dry_run
         )
         print(json.dumps(body, indent=2, sort_keys=True))
         return 0 if status in (200, 202) else 1

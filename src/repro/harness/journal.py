@@ -100,8 +100,6 @@ class JobRecord:
     job_id: str
     seq: int
     spec: Dict[str, object]
-    priority: int = 0
-    client: str = "anonymous"
     job_key: str = ""
     coalesced_with: Optional[str] = None
     state: str = "submitted"
@@ -184,8 +182,6 @@ class JobJournal:
         job_id: str,
         seq: int,
         spec: Dict[str, object],
-        priority: int,
-        client: str,
         job_key: str,
         coalesced_with: Optional[str] = None,
     ) -> None:
@@ -195,8 +191,6 @@ class JobJournal:
                 "id": job_id,
                 "seq": seq,
                 "spec": spec,
-                "priority": priority,
-                "client": client,
                 "job_key": job_key,
                 "coalesced_with": coalesced_with,
             }
@@ -227,7 +221,6 @@ class JobJournal:
         cached: int,
         pending: int,
         job_ids: List[str],
-        client: str,
     ) -> None:
         """Record one planned submission (audit trail, not job state).
 
@@ -245,7 +238,6 @@ class JobJournal:
                 "cached": cached,
                 "pending": pending,
                 "jobs": list(job_ids),
-                "client": client,
             }
         )
 
@@ -292,12 +284,12 @@ class JobJournal:
                 except (KeyError, TypeError, ValueError):
                     continue
                 max_seq = max(max_seq, seq)
+                # Journals written by older daemons also carry
+                # "priority" and "client" keys; they are ignored.
                 records[job_id] = JobRecord(
                     job_id=job_id,
                     seq=seq,
                     spec=spec,
-                    priority=int(event.get("priority", 0)),
-                    client=str(event.get("client", "anonymous")),
                     job_key=str(event.get("job_key", "")),
                     coalesced_with=event.get("coalesced_with"),
                 )

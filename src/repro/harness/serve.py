@@ -1,11 +1,9 @@
-"""``repro serve``: a durable, admission-controlled simulation daemon.
+"""``repro serve``: a durable simulation daemon with a bounded job queue.
 
 This module turns the library into a long-running service: an HTTP/JSON
 API (stdlib :mod:`http.server`, no new dependencies) wrapping one warm
-:class:`~repro.harness.service.RunService` under a retry policy, engineered
-around the same thesis as the paper — irregular, bursty load needs an
-*explicit* scheduling and load-management layer, not best-effort
-execution.  Four properties, each carried by a dedicated mechanism:
+:class:`~repro.harness.service.RunService` under a retry policy.  Four
+properties, each carried by a dedicated mechanism:
 
 **Durability** (:class:`~repro.harness.journal.JobJournal`)
     Every job transition is written ahead to an append-only, fsync'd,
@@ -22,16 +20,17 @@ execution.  Four properties, each carried by a dedicated mechanism:
     duplicate submissions run the underlying cells exactly once and all
     N clients observe the same result (``coalesced`` counter = N-1).
 
-**Backpressure** (:mod:`~repro.harness.admission`)
-    A bounded priority queue with a deterministic shed order, per-client
-    token buckets (HTTP 429 + ``Retry-After``), queue-full rejections
-    (HTTP 503 + ``Retry-After``), and load-aware executor degradation
-    (process → thread → serial as occupancy climbs) so a burst of
-    thousands of submissions can never fork unbounded pools.
+**Backpressure** (one rule)
+    Queued jobs wait in a bounded FIFO queue and start in submission
+    order.  When the queue is full a submission gets HTTP 503 with
+    ``Retry-After``; cancelling a queued job frees its slot at once.
+    Every job runs on the configured executor: the run service's
+    failure-driven degradation (process → thread → serial when a pool
+    breaks) is the only executor fallback.
 
 **Lifecycle**
     ``/healthz`` (liveness) and ``/readyz`` (readiness; 503 while
-    draining), graceful drain on SIGTERM (stop admitting, finish running
+    draining), graceful drain on SIGTERM (stop accepting, finish running
     jobs up to a budget, journal shutdown — queued jobs stay journaled
     and resume on restart), a watchdog that abandons jobs exceeding
     their deadline (the resilience layer's abandon-don't-block
@@ -44,10 +43,11 @@ HTTP surface (all JSON)::
     GET    /v1/jobs/<id>       one job's status
     GET    /v1/jobs/<id>/result   canonical RunReport JSON (409 until done)
     DELETE /v1/jobs/<id>       cancel a queued/running job
-    GET    /v1/stats           admission/coalesce/queue counters
+    POST   /v1/plans           plan a spec; pending cells fan into the queue
+    GET    /v1/stats           submission/coalesce/queue counters
     GET    /healthz            liveness
     GET    /readyz             readiness (503 while draining)
-    POST   /v1/drain           stop admitting, keep serving status
+    POST   /v1/drain           stop accepting, keep serving status
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     TYPE_CHECKING,
@@ -79,7 +79,6 @@ from ..graph import datasets
 from ..graph.storage import gc_stale_spills
 from ..obs import get_recorder
 from ..vcpm.algorithms import get_algorithm
-from .admission import AdmissionController, AdmissionDecision, executor_for_load
 from .faults import FaultInjector
 from .journal import JobJournal, JournalError
 from .resilience import RetryPolicy
@@ -102,12 +101,27 @@ __all__ = [
 ]
 
 #: Job states.  ``queued``/``running`` are live; ``coalesced`` mirrors a
-#: primary job; the rest are terminal.
+#: primary job; the rest are terminal.  ``shed`` is only reached when a
+#: restart with a smaller ``capacity`` cannot re-enqueue every job.
 _TERMINAL_STATES = ("done", "failed", "cancelled", "shed")
+#: The :class:`DaemonStats` field each terminal state bumps.
+_STATE_COUNTERS = {
+    "done": "completed",
+    "failed": "failed",
+    "cancelled": "cancelled",
+    "shed": "shed",
+}
+
+
+#: The only keys a ``POST /v1/jobs`` body and a ``POST /v1/plans`` body
+#: may carry; any other key is rejected (HTTP 400) rather than ignored.
+_JOB_KEYS = frozenset({"algorithms", "graphs"})
+_PLAN_KEYS = frozenset({"spec", "yaml", "dry_run"})
 
 
 class JobValidationError(ValueError):
-    """A submitted job spec names unknown algorithms/datasets (HTTP 400)."""
+    """A submitted job spec is malformed or names unknown
+    algorithms/datasets (HTTP 400)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,6 +138,12 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
+        unknown = sorted(set(data) - _JOB_KEYS)
+        if unknown:
+            raise JobValidationError(
+                f"unknown job key {unknown[0]!r} (a job takes only "
+                "'algorithms' and 'graphs')"
+            )
         try:
             algorithms = tuple(str(a) for a in data["algorithms"])
             graphs = tuple(str(g) for g in data["graphs"])
@@ -168,8 +188,6 @@ class Job:
     id: str
     seq: int
     spec: JobSpec
-    priority: int = 0
-    client: str = "anonymous"
     job_key: str = ""
     state: str = "queued"
     coalesced_with: Optional[str] = None
@@ -180,7 +198,6 @@ class Job:
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    executor_used: Optional[str] = None
     resumed: bool = False
     #: True once this job's max_running slot has been given back.
     slot_released: bool = True
@@ -192,11 +209,14 @@ class Job:
 
 @dataclasses.dataclass
 class DaemonStats:
-    """Monotonic daemon counters, mirrored into ``repro.obs``."""
+    """Monotonic daemon counters.
+
+    Each field ``X`` is bumped together with the ``repro.obs`` counter
+    ``serve.X`` by :meth:`SimulationDaemon._count`, the only writer.
+    """
 
     admitted: int = 0
     coalesced: int = 0
-    rejected_rate_limited: int = 0
     rejected_queue_full: int = 0
     rejected_draining: int = 0
     rejected_invalid: int = 0
@@ -207,7 +227,6 @@ class DaemonStats:
     timeouts: int = 0
     cancelled: int = 0
     resumed: int = 0
-    degraded_executor: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -225,9 +244,7 @@ class DaemonConfig:
     use_cache: bool = True
     #: Bounded queue capacity (queued jobs, excluding running).
     capacity: int = 64
-    #: Per-client token-bucket rate (jobs/second); ``None`` = unlimited.
-    rate: Optional[float] = None
-    burst: float = 10.0
+    #: ``Retry-After`` hint (seconds) of a queue-full 503.
     retry_after_full: float = 1.0
     #: Concurrently *running* jobs (each may fan cells out internally).
     max_running: int = 1
@@ -252,6 +269,55 @@ class DaemonConfig:
     #: Path to write ``{"pid", "port", "url"}`` once ready (port 0 ⇒
     #: ephemeral; the announce file is how callers learn the real port).
     announce: Optional[str] = None
+
+
+@dataclasses.dataclass(frozen=True)
+class SubmitDecision:
+    """Outcome of one submission, ready to render as HTTP."""
+
+    accepted: bool
+    status: int  # 202 accepted / 400 invalid / 503 full|draining
+    reason: str = ""
+    retry_after: Optional[float] = None
+
+
+class _JobQueue:
+    """Bounded FIFO of queued (not running) jobs.
+
+    A full queue refuses the offer; the daemon turns that into a 503.
+    Thread-safe: the scheduler pops while HTTP threads offer and cancel.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._jobs: "deque[Job]" = deque()
+        self._ready = threading.Condition()
+
+    def offer(self, job: Job) -> bool:
+        with self._ready:
+            if len(self._jobs) >= self.capacity:
+                return False
+            self._jobs.append(job)
+            self._ready.notify()
+            return True
+
+    def pop(self, timeout: float) -> Optional[Job]:
+        """The oldest queued job, or None after ``timeout`` seconds."""
+        with self._ready:
+            if not self._jobs:
+                self._ready.wait(timeout)
+            return self._jobs.popleft() if self._jobs else None
+
+    def remove(self, job: Job) -> None:
+        with self._ready:
+            with contextlib.suppress(ValueError):
+                self._jobs.remove(job)
+
+    def __len__(self) -> int:
+        with self._ready:
+            return len(self._jobs)
 
 
 class SimulationDaemon:
@@ -301,12 +367,7 @@ class SimulationDaemon:
             ),
             faults=self.faults,
         )
-        self.controller = AdmissionController(
-            capacity=self.config.capacity,
-            rate=self.config.rate,
-            burst=self.config.burst,
-            retry_after_full=self.config.retry_after_full,
-        )
+        self._queue = _JobQueue(self.config.capacity)
         self.journal: Optional[JobJournal] = (
             JobJournal(self.config.journal_path, faults=self.faults)
             if self.config.journal_path
@@ -351,8 +412,6 @@ class SimulationDaemon:
     def _new_job(
         self,
         spec: JobSpec,
-        priority: int,
-        client: str,
         job_key: str,
         coalesced_with: Optional[str] = None,
     ) -> Job:
@@ -361,8 +420,6 @@ class SimulationDaemon:
             id=f"j{self._seq:06d}-{job_key[:8]}",
             seq=self._seq,
             spec=spec,
-            priority=priority,
-            client=client,
             job_key=job_key,
             coalesced_with=coalesced_with,
             submitted_at=time.time(),
@@ -371,104 +428,94 @@ class SimulationDaemon:
         return job
 
     # ------------------------------------------------------------------
-    # Submission (admission control + coalescing + WAL)
+    # Counters
     # ------------------------------------------------------------------
+    def _count(self, field: str) -> None:
+        """Bump ``stats.<field>`` and the ``serve.<field>`` counter together."""
+        with self._lock:
+            setattr(self.stats, field, getattr(self.stats, field) + 1)
+            get_recorder().counter(f"serve.{field}").add()
+
+    def _set_depth_gauge(self) -> None:
+        get_recorder().gauge("serve.queue_depth").set(len(self._queue))
+
+    # ------------------------------------------------------------------
+    # Submission (bounded queue + coalescing + WAL)
+    # ------------------------------------------------------------------
+    def _reject_full(self, reason: str) -> SubmitDecision:
+        self._count("rejected_queue_full")
+        return SubmitDecision(
+            accepted=False,
+            status=503,
+            reason=reason,
+            retry_after=self.config.retry_after_full,
+        )
+
     def submit(
-        self,
-        spec_data: Dict[str, object],
-        priority: int = 0,
-        client: str = "anonymous",
-    ) -> Tuple[Optional[Job], AdmissionDecision]:
-        """Admit one submission; the HTTP POST handler in library form.
+        self, spec_data: Dict[str, object]
+    ) -> Tuple[Optional[Job], SubmitDecision]:
+        """Accept one submission; the HTTP POST handler in library form.
 
         Returns ``(job, decision)``; ``job`` is ``None`` iff the
-        submission was rejected (rate limit, queue full, draining, or
-        invalid spec — the decision's status is the HTTP status).
+        submission was rejected (queue full, draining, or invalid spec —
+        the decision's status is the HTTP status).
         """
-        rec = get_recorder()
         try:
             spec = JobSpec.from_dict(spec_data)
         except JobValidationError as exc:
-            with self._lock:
-                self.stats.rejected_invalid += 1
-            return None, AdmissionDecision(
+            self._count("rejected_invalid")
+            return None, SubmitDecision(
                 accepted=False, status=400, reason=str(exc)
             )
         if not self._accepting:
-            with self._lock:
-                self.stats.rejected_draining += 1
-            return None, AdmissionDecision(
+            self._count("rejected_draining")
+            return None, SubmitDecision(
                 accepted=False,
                 status=503,
                 reason="daemon is draining",
                 retry_after=self.config.drain_timeout,
             )
-        limited = self.controller.check_rate(client)
-        if limited is not None:
-            with self._lock:
-                self.stats.rejected_rate_limited += 1
-            rec.counter("serve.rejected_rate_limited").add()
-            return None, limited
         if self.faults is not None and self.faults.on_admit():
-            with self._lock:
-                self.stats.rejected_queue_full += 1
-            return None, AdmissionDecision(
-                accepted=False,
-                status=503,
-                reason="queue full (injected overflow)",
-                retry_after=self.config.retry_after_full,
-            )
+            return None, self._reject_full("queue full (injected overflow)")
         job_key = self.job_key(spec)
         with self._lock:
             primary_id = self._inflight.get(job_key)
             if primary_id is not None:
                 # Identical work already in flight: attach, don't queue.
                 primary = self._jobs[primary_id]
-                job = self._new_job(
-                    spec, priority, client, job_key,
-                    coalesced_with=primary_id,
-                )
+                job = self._new_job(spec, job_key, coalesced_with=primary_id)
                 job.state = "coalesced"
                 primary.attached.append(job.id)
-                self.stats.coalesced += 1
-                rec.counter("serve.coalesced").add()
+                self._count("coalesced")
                 self._journal_submit(job)
-                return job, AdmissionDecision(
+                return job, SubmitDecision(
                     accepted=True, status=202, reason="coalesced"
                 )
-            job = self._new_job(spec, priority, client, job_key)
-            decision = self.controller.offer(job, priority, job.seq)
-            if not decision.accepted:
+            job = self._new_job(spec, job_key)
+            if not self._queue.offer(job):
                 del self._jobs[job.id]
                 self._seq -= 1
-                self.stats.rejected_queue_full += 1
-                rec.counter("serve.rejected_queue_full").add()
-                return None, decision
-            for shed_id in decision.shed:
-                self._finalize_locked(
-                    self._jobs[shed_id], "shed",
-                    error="shed by a higher-priority submission",
+                return None, self._reject_full(
+                    f"queue full ({self._queue.capacity} jobs)"
                 )
             self._inflight[job_key] = job.id
-            self.stats.admitted += 1
-            rec.counter("serve.admitted").add()
-            rec.gauge("serve.queue_depth").set(self.controller.depth())
+            self._count("admitted")
+            self._set_depth_gauge()
             try:
                 self._journal_submit(job)
             except JournalError as exc:
                 # No durability, no acknowledgement: withdraw the job.
-                self.controller.remove(job.id)
+                self._queue.remove(job)
                 self._inflight.pop(job_key, None)
                 job.state = "failed"
                 job.error = repr(exc)
-                return None, AdmissionDecision(
+                return None, SubmitDecision(
                     accepted=False,
                     status=503,
                     reason=f"journal unavailable: {exc}",
                     retry_after=self.config.retry_after_full,
                 )
-        # Return the controller's decision so callers observe shed ids.
-        return job, decision
+        return job, SubmitDecision(accepted=True, status=202)
 
     def inflight_cell_keys(self) -> FrozenSet[str]:
         """Content-addressed keys of every cell some live job covers.
@@ -536,8 +583,6 @@ class SimulationDaemon:
     def plan_submission(
         self,
         data: Dict[str, object],
-        priority: Optional[int] = None,
-        client: str = "anonymous",
         dry_run: bool = False,
     ) -> Tuple[int, Dict[str, object]]:
         """Plan a spec against this daemon and fan pending cells out.
@@ -546,13 +591,20 @@ class SimulationDaemon:
         ``{"yaml": "..."}`` (spec text).  Returns ``(status, payload)``
         where the payload always carries the classified plan; unless
         ``dry_run``, each pending ``(graph)`` group is submitted as one
-        job through the normal admission path (rate limits, coalescing,
-        shedding, and journaling all apply).
+        job through :meth:`submit` (the queue bound, coalescing and
+        journaling all apply).
         """
         from .planner import build_plan, plan_to_dict, spec_digest
         from .specs import SpecError, parse_spec, spec_from_dict
 
         try:
+            unknown = sorted(set(data) - _PLAN_KEYS)
+            if unknown:
+                raise SpecError(
+                    f"unknown plan request key {unknown[0]!r} (expected "
+                    "'spec' or 'yaml', and optionally 'dry_run')",
+                    field=unknown[0],
+                )
             if "yaml" in data:
                 if not isinstance(data["yaml"], str):
                     raise SpecError("'yaml' must be spec text")
@@ -564,8 +616,7 @@ class SimulationDaemon:
                     "plan requests need a 'spec' mapping or 'yaml' text"
                 )
         except SpecError as exc:
-            with self._lock:
-                self.stats.rejected_invalid += 1
+            self._count("rejected_invalid")
             return 400, {
                 "error": str(exc),
                 "field": exc.field,
@@ -573,8 +624,7 @@ class SimulationDaemon:
             }
         rejection = self._spec_rejection(spec)
         if rejection is not None:
-            with self._lock:
-                self.stats.rejected_invalid += 1
+            self._count("rejected_invalid")
             return 400, {"error": rejection, "field": None, "line": None}
 
         override = spec.effective_overrides()[0].name
@@ -590,9 +640,6 @@ class SimulationDaemon:
         if dry_run:
             return 200, payload
 
-        effective_priority = (
-            spec.priority if priority is None else int(priority)
-        )
         groups: "OrderedDict[str, List[str]]" = OrderedDict()
         for cell in plan.schedule:
             groups.setdefault(cell.graph, []).append(cell.algorithm)
@@ -600,9 +647,7 @@ class SimulationDaemon:
         rejected: List[Dict[str, object]] = []
         for graph, algorithms in groups.items():
             job, decision = self.submit(
-                {"algorithms": algorithms, "graphs": [graph]},
-                priority=effective_priority,
-                client=client,
+                {"algorithms": algorithms, "graphs": [graph]}
             )
             if job is None:
                 rejected.append(
@@ -615,9 +660,7 @@ class SimulationDaemon:
                 )
             else:
                 jobs.append(self.job_dict(job))
-        with self._lock:
-            self.stats.planned += 1
-        get_recorder().counter("serve.planned").add()
+        self._count("planned")
         if self.journal is not None:
             with contextlib.suppress(JournalError):
                 self.journal.plan(
@@ -627,7 +670,6 @@ class SimulationDaemon:
                     cached=len(plan.cached),
                     pending=len(plan.pending),
                     job_ids=[str(j["id"]) for j in jobs],
-                    client=client,
                 )
         payload["jobs"] = jobs
         payload["rejected"] = rejected
@@ -641,8 +683,6 @@ class SimulationDaemon:
             job.id,
             job.seq,
             job.spec.to_dict(),
-            job.priority,
-            job.client,
             job.job_key,
             coalesced_with=job.coalesced_with,
         )
@@ -657,7 +697,7 @@ class SimulationDaemon:
                 continue
             if not self._slots.acquire(timeout=self.config.poll_interval):
                 continue
-            job = self.controller.pop(timeout=self.config.poll_interval)
+            job = self._queue.pop(timeout=self.config.poll_interval)
             if job is None or job.terminal:
                 self._slots.release()
                 continue
@@ -669,7 +709,6 @@ class SimulationDaemon:
             worker.start()
 
     def _execute_job(self, job: Job) -> None:
-        rec = get_recorder()
         with self._lock:
             if job.terminal:  # cancelled between pop and start
                 self._release_slot(job)
@@ -677,31 +716,12 @@ class SimulationDaemon:
             job.state = "running"
             job.started_at = time.time()
             self._running[job.id] = job
-            depth = self.controller.depth()
-            executor = executor_for_load(
-                self.config.executor,
-                depth,
-                self.config.capacity,
-                running=len(self._running),  # includes this job
-            )
-            job.executor_used = executor
-            if executor != self.config.executor:
-                self.stats.degraded_executor += 1
-                rec.counter("serve.degraded_executor").add()
         try:
             if self.journal is not None:
                 self.journal.start(job.id)
-            with rec.span(
-                "serve.job",
-                track="serve",
-                job=job.id,
-                client=job.client,
-                executor=executor,
-            ):
+            with get_recorder().span("serve.job", track="serve", job=job.id):
                 cells = self.service.matrix(
-                    list(job.spec.algorithms),
-                    list(job.spec.graphs),
-                    executor=executor,
+                    list(job.spec.algorithms), list(job.spec.graphs)
                 )
             payload = canonical_reports_json(cells)
         except BaseException as exc:  # noqa: BLE001 - job isolation
@@ -737,7 +757,6 @@ class SimulationDaemon:
         result: Optional[str] = None,
         error: Optional[str] = None,
     ) -> None:
-        rec = get_recorder()
         job.state = state
         job.error = error
         job.finished_at = time.time()
@@ -763,19 +782,9 @@ class SimulationDaemon:
                 attached.error = error
                 attached.finished_at = job.finished_at
         self._release_slot(job)
-        if state == "done":
-            self.stats.completed += 1
-            rec.counter("serve.completed").add()
-        elif state == "failed":
-            self.stats.failed += 1
-            rec.counter("serve.failed").add()
-        elif state == "shed":
-            self.stats.shed += 1
-            rec.counter("serve.shed").add()
-        elif state == "cancelled":
-            self.stats.cancelled += 1
-        rec.gauge("serve.queue_depth").set(self.controller.depth())
-        rec.event(
+        self._count(_STATE_COUNTERS[state])
+        self._set_depth_gauge()
+        get_recorder().event(
             "serve.job_finalized", track="serve", job=job.id, state=state
         )
 
@@ -820,7 +829,7 @@ class SimulationDaemon:
                 with self._lock:
                     if job.terminal:
                         continue
-                    self.stats.timeouts += 1
+                    self._count("timeouts")
                     self._finalize_locked(
                         job,
                         "failed",
@@ -830,13 +839,12 @@ class SimulationDaemon:
                         ),
                     )
                 self._journal_finalize(job, "failed", job.error)
-                get_recorder().counter("serve.watchdog_cancels").add()
 
     # ------------------------------------------------------------------
     # Crash-safe resume
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        """Fold the WAL and re-enqueue every unfinished job."""
+        """Fold the WAL and re-enqueue every unfinished job, by ``seq``."""
         assert self.journal is not None
         records, max_seq = JobJournal.replay(self.journal.path)
         self._seq = max_seq
@@ -847,34 +855,33 @@ class SimulationDaemon:
                 id=record.job_id,
                 seq=record.seq,
                 spec=spec,
-                priority=record.priority,
-                client=record.client,
                 job_key=record.job_key or self.job_key(spec),
                 coalesced_with=record.coalesced_with,
                 result_digest=record.result_digest,
                 error=record.error,
             )
             self._jobs[job.id] = job
+            # A terminal event wins over everything else: a duplicate
+            # cancelled while coalesced stays cancelled.
+            if record.terminal:
+                job.state = record.state
+                continue
             if record.coalesced_with is not None:
                 job.state = "coalesced"
                 attached_later.append((job, record.coalesced_with))
-                continue
-            if record.terminal:
-                job.state = record.state
                 continue
             # submitted/started with no terminal event: the work this
             # daemon owes.  Results live in the content-addressed cache,
             # so re-execution is idempotent and byte-identical.
             job.state = "queued"
-            job.resumed = True
-            self.stats.resumed += 1
-            decision = self.controller.offer(job, job.priority, job.seq)
-            if not decision.accepted:
+            if not self._queue.offer(job):
                 self._finalize_locked(
                     job, "shed", error="queue capacity shrank across restart"
                 )
                 self._journal_finalize(job, "shed", job.error)
                 continue
+            job.resumed = True
+            self._count("resumed")
             self._inflight[job.job_key] = job.id
             try:
                 self.journal.resume(job.id)
@@ -919,8 +926,6 @@ class SimulationDaemon:
         return {
             "id": job.id,
             "state": state,
-            "priority": job.priority,
-            "client": job.client,
             "job_key": job.job_key,
             "coalesced_with": job.coalesced_with,
             "attached": list(job.attached),
@@ -929,7 +934,6 @@ class SimulationDaemon:
             "submitted_at": job.submitted_at,
             "started_at": job.started_at,
             "finished_at": job.finished_at,
-            "executor": job.executor_used,
             "error": job.error,
             "resumed": job.resumed,
             "result_available": self.result_for(job) is not None,
@@ -944,7 +948,7 @@ class SimulationDaemon:
     def stats_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = dict(self.stats.to_dict())
         payload.update(
-            queue_depth=self.controller.depth(),
+            queue_depth=len(self._queue),
             running=len(self._running),
             jobs_total=len(self._jobs),
             accepting=self._accepting,
@@ -966,7 +970,7 @@ class SimulationDaemon:
             if job.state == "coalesced":
                 self._finalize_locked(job, "cancelled")
             elif job.state == "queued":
-                self.controller.remove(job_id)
+                self._queue.remove(job)
                 self._finalize_locked(job, "cancelled")
             else:  # running: abandon, don't block (watchdog semantics)
                 self._finalize_locked(
@@ -1177,25 +1181,8 @@ class _Handler(BaseHTTPRequestHandler):
             except JobValidationError as exc:
                 self._send(400, {"error": str(exc)})
                 return
-            client = str(
-                data.get("client")
-                or self.headers.get("X-Client")
-                or "anonymous"
-            )
-            priority: Optional[int]
-            try:
-                raw_priority = data.get("priority")
-                priority = (
-                    None if raw_priority is None else int(raw_priority)  # type: ignore[arg-type]
-                )
-            except (TypeError, ValueError):
-                self._send(400, {"error": "'priority' must be an integer"})
-                return
             status, payload = daemon.plan_submission(
-                data,
-                priority=priority,
-                client=client,
-                dry_run=bool(data.get("dry_run", False)),
+                data, dry_run=bool(data.get("dry_run", False))
             )
             self._send(status, payload)
             return
@@ -1207,15 +1194,7 @@ class _Handler(BaseHTTPRequestHandler):
         except JobValidationError as exc:
             self._send(400, {"error": str(exc)})
             return
-        client = str(
-            data.get("client") or self.headers.get("X-Client") or "anonymous"
-        )
-        try:
-            priority = int(data.get("priority", 0))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            self._send(400, {"error": "'priority' must be an integer"})
-            return
-        job, decision = daemon.submit(data, priority=priority, client=client)
+        job, decision = daemon.submit(data)
         if job is None:
             self._send(
                 decision.status,
@@ -1228,7 +1207,6 @@ class _Handler(BaseHTTPRequestHandler):
             {
                 "job": daemon.job_dict(job),
                 "coalesced": decision.reason == "coalesced",
-                "shed": list(decision.shed),
             },
         )
 
@@ -1289,20 +1267,13 @@ def submit_job(
     base_url: str,
     algorithms: Sequence[str],
     graphs: Sequence[str],
-    priority: int = 0,
-    client: str = "cli",
     timeout: float = 10.0,
 ) -> Tuple[int, Dict[str, str], object]:
     """POST one job; returns the raw ``(status, headers, body)`` triple."""
     return http_json(
         f"{base_url}/v1/jobs",
         method="POST",
-        payload={
-            "algorithms": list(algorithms),
-            "graphs": list(graphs),
-            "priority": priority,
-            "client": client,
-        },
+        payload={"algorithms": list(algorithms), "graphs": list(graphs)},
         timeout=timeout,
     )
 
@@ -1311,19 +1282,15 @@ def submit_plan(
     base_url: str,
     yaml_text: Optional[str] = None,
     spec: Optional[Dict[str, object]] = None,
-    priority: Optional[int] = None,
-    client: str = "cli",
     dry_run: bool = False,
     timeout: float = 10.0,
 ) -> Tuple[int, Dict[str, str], object]:
     """POST one declarative plan; ``(status, headers, body)`` triple."""
-    payload: Dict[str, object] = {"client": client, "dry_run": dry_run}
+    payload: Dict[str, object] = {"dry_run": dry_run}
     if yaml_text is not None:
         payload["yaml"] = yaml_text
     if spec is not None:
         payload["spec"] = spec
-    if priority is not None:
-        payload["priority"] = priority
     return http_json(
         f"{base_url}/v1/plans",
         method="POST",

@@ -639,7 +639,6 @@ class ExperimentSpec:
     source: int = 0
     storage: str = "memory"
     shards: int = 1
-    priority: int = 0
 
     # -- expansion -----------------------------------------------------
     def effective_algorithms(self) -> Tuple[str, ...]:
@@ -701,7 +700,6 @@ _TOP_LEVEL_KEYS = (
     "source",
     "storage",
     "shards",
-    "priority",
 )
 
 _FILTER_KEYS = ("algorithms", "graphs", "exclude")
@@ -1127,8 +1125,6 @@ def spec_from_dict(
     _expect(ctx, ("shards",), shards, (int,), "a shard count")
     if int(shards) < 1:
         raise ctx.fail(("shards",), "shards must be >= 1")
-    priority = data.get("priority", 0)
-    _expect(ctx, ("priority",), priority, (int,), "an integer priority")
 
     # Filter clauses must intersect the declared axes, otherwise the
     # grid silently collapses to nothing — make that loud.
@@ -1145,7 +1141,6 @@ def spec_from_dict(
         source=int(source_vertex),
         storage=str(storage),
         shards=int(shards),
-        priority=int(priority),
     )
     if not spec.grid():
         raise ctx.fail(
@@ -1201,8 +1196,6 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, object]:
         out["storage"] = spec.storage
     if spec.shards != 1:
         out["shards"] = spec.shards
-    if spec.priority:
-        out["priority"] = spec.priority
     return out
 
 

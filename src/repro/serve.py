@@ -5,12 +5,6 @@ service it wraps); this module is the stable import surface promised by
 the docs and the ``repro serve`` CLI.
 """
 
-from .harness.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    TokenBucket,
-    executor_for_load,
-)
 from .harness.journal import JobJournal, JobRecord, JournalError
 from .harness.serve import (
     DaemonConfig,
@@ -26,8 +20,6 @@ from .harness.serve import (
 )
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
     "DaemonConfig",
     "DaemonStats",
     "Job",
@@ -37,8 +29,6 @@ __all__ = [
     "JobValidationError",
     "JournalError",
     "SimulationDaemon",
-    "TokenBucket",
-    "executor_for_load",
     "fetch_result",
     "http_json",
     "submit_job",

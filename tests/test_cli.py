@@ -263,7 +263,6 @@ class TestServeParser:
         assert args.port == 8177
         assert args.journal == "repro-jobs.jsonl"
         assert args.capacity == 64
-        assert args.rate is None
         assert args.max_running == 1
         assert args.executor == "thread"
         assert args.inject == []
@@ -272,7 +271,7 @@ class TestServeParser:
     def test_serve_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--journal", "w.jsonl",
-             "--capacity", "8", "--rate", "2.5", "--burst", "4",
+             "--capacity", "8",
              "--max-running", "2", "--executor", "process",
              "--deadline", "30", "--inject", "kill-daemon:2",
              "--inject", "queue-overflow:1:1", "--announce", "a.json",
@@ -280,7 +279,6 @@ class TestServeParser:
         )
         assert args.port == 0
         assert args.capacity == 8
-        assert args.rate == 2.5
         assert args.executor == "process"
         assert args.inject == ["kill-daemon:2", "queue-overflow:1:1"]
         assert args.announce == "a.json"
@@ -289,6 +287,22 @@ class TestServeParser:
     def test_serve_rejects_unknown_executor(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--executor", "gpu"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--rate", "5"],
+            ["serve", "--burst", "4"],
+            ["submit", "--algorithms", "BFS", "--graphs", "FR",
+             "--priority", "2"],
+            ["submit", "--algorithms", "BFS", "--graphs", "FR",
+             "--client", "me"],
+            ["run-spec", "x.yaml", "--priority", "2"],
+        ],
+    )
+    def test_queue_policy_flags_do_not_exist(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_submit_requires_algorithms_and_graphs(self):
         with pytest.raises(SystemExit):
@@ -384,7 +398,6 @@ class TestSpecCommands:
         args = build_parser().parse_args(["run-spec", "x.yaml"])
         assert args.dry_run is False
         assert args.output is None and args.plan_out is None
-        assert args.priority is None
 
     def test_plan_requires_spec_path(self):
         with pytest.raises(SystemExit):
@@ -440,7 +453,7 @@ class TestSpecCommands:
             assert '"totals"' in capsys.readouterr().out
 
             assert main(["run-spec", str(spec_path), "--url",
-                         daemon.base_url, "--priority", "2"]) == 0
+                         daemon.base_url]) == 0
             body = capsys.readouterr().out
             assert '"jobs"' in body
 

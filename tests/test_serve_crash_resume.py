@@ -1,5 +1,5 @@
 """Daemon fault battery: kill -9 resume identity, 1000-way coalescing,
-deterministic shed order under overload.
+and journal recovery.
 
 These are the acceptance tests of the serving layer:
 
@@ -9,8 +9,10 @@ These are the acceptance tests of the serving layer:
   **byte-identical** to an uninterrupted run;
 * 1000 identical submissions while the first is in flight execute the
   underlying matrix exactly once (coalesce counter == 999);
-* an overload burst sheds jobs in a deterministic, priority-respecting
-  order.
+* a restart folds the journal exactly: terminal events win, only
+  re-enqueued jobs count as resumed, a smaller capacity sheds the
+  overflow, and journals written by older daemons still replay in
+  ``seq`` order.
 """
 
 import json
@@ -93,7 +95,7 @@ class TestKillDaemonResume:
         os.makedirs(baseline_dir)
         proc, url = _start_daemon(baseline_dir)
         try:
-            _, _, body = submit_job(url, ["BFS", "CC"], ["RM22"], client="t")
+            _, _, body = submit_job(url, ["BFS", "CC"], ["RM22"])
             job_id = body["job"]["id"]
             assert wait_for_job(url, job_id, timeout=90)["state"] == "done"
             status, baseline = fetch_result(url, job_id)
@@ -105,7 +107,7 @@ class TestKillDaemonResume:
         crash_dir = os.path.join(workdir, "crash")
         os.makedirs(crash_dir)
         proc, url = _start_daemon(crash_dir, inject=("kill-daemon:2",))
-        _, _, body = submit_job(url, ["BFS", "CC"], ["RM22"], client="t")
+        _, _, body = submit_job(url, ["BFS", "CC"], ["RM22"])
         job_id = body["job"]["id"]
         assert proc.wait(timeout=60) == 86  # died mid-matrix, no drain
 
@@ -186,7 +188,7 @@ class TestMassCoalescing:
         daemon.start()
         try:
             spec = {"algorithms": ["BFS"], "graphs": ["FR"]}
-            primary, decision = daemon.submit(spec, client="c0")
+            primary, decision = daemon.submit(spec)
             assert decision.accepted
             assert service.started.wait(timeout=10)
 
@@ -194,9 +196,7 @@ class TestMassCoalescing:
 
             def burst(worker, count):
                 for i in range(count):
-                    job, decision = daemon.submit(
-                        spec, client=f"w{worker}-{i}"
-                    )
+                    job, decision = daemon.submit(spec)
                     if (
                         job is None
                         or decision.reason != "coalesced"
@@ -233,71 +233,137 @@ class TestMassCoalescing:
             daemon.stop(drain=False)
 
 
-class TestOverloadShedOrder:
-    def test_shed_order_is_deterministic_under_burst(self, tmp_path):
-        """The same overload sequence sheds the same jobs, twice over."""
+def _recovering_daemon(journal, capacity=4):
+    """An unstarted daemon on ``journal`` over a blocking stub service."""
+    service = _BlockingService()
+    daemon = SimulationDaemon(
+        DaemonConfig(
+            port=0,
+            journal_path=journal,
+            capacity=capacity,
+            poll_interval=0.01,
+        ),
+        service=service,
+    )
+    return daemon, service
 
-        def run_once():
-            service = _BlockingService()
-            daemon = SimulationDaemon(
-                DaemonConfig(
-                    port=0,
-                    journal_path=str(
-                        tmp_path / f"jobs-{time.monotonic_ns()}.jsonl"
-                    ),
-                    capacity=2,
-                    poll_interval=0.01,
-                ),
-                service=service,
-            )
-            daemon.start()
-            try:
-                # Distinct specs so nothing coalesces; the first job
-                # occupies the single run slot, the rest queue.
-                blocker, _ = daemon.submit(
-                    {"algorithms": ["BFS"], "graphs": ["FR"]}, priority=9
-                )
-                assert service.started.wait(timeout=10)
-                plan = [
-                    (["CC"], 0), (["PR"], 0), (["SSSP"], 1), (["SSWP"], 2),
-                ]
-                outcomes = []
-                for algorithms, priority in plan:
-                    job, decision = daemon.submit(
-                        {"algorithms": algorithms, "graphs": ["FR"]},
-                        priority=priority,
-                    )
-                    outcomes.append(
-                        (
-                            algorithms[0],
-                            decision.status,
-                            tuple(
-                                daemon.get_job(jid).spec.algorithms[0]
-                                for jid in decision.shed
-                            ),
-                        )
-                    )
-                shed_states = sorted(
-                    job["algorithms"][0]
-                    for job in daemon.jobs_dict()
-                    if job["state"] == "shed"
-                )
-                return outcomes, shed_states, daemon.stats.shed
-            finally:
-                service.release.set()
-                daemon.stop(drain=False)
 
-        first = run_once()
-        second = run_once()
-        assert first == second
-        outcomes, shed_states, shed_count = first
-        # CC and PR fill the queue; SSSP (prio 1) evicts PR (youngest of
-        # the lowest priority); SSWP (prio 2) evicts CC.
-        assert outcomes == [
-            ("CC", 202, ()),
-            ("PR", 202, ()),
-            ("SSSP", 202, ("PR",)),
-            ("SSWP", 202, ("CC",)),
+class TestRecovery:
+    SPEC = {"algorithms": ["BFS"], "graphs": ["FR"]}
+
+    def test_cancelled_duplicate_stays_cancelled_after_restart(
+        self, tmp_path
+    ):
+        journal = str(tmp_path / "jobs.jsonl")
+        daemon, _ = _recovering_daemon(journal)
+        primary, _ = daemon.submit(self.SPEC)
+        duplicate, decision = daemon.submit(self.SPEC)
+        assert decision.reason == "coalesced"
+        assert daemon.cancel(duplicate.id) == (200, "cancelled")
+
+        restarted, _ = _recovering_daemon(journal)
+        job = restarted.get_job(duplicate.id)
+        assert restarted.effective_state(job) == "cancelled"
+        assert duplicate.id not in restarted.get_job(primary.id).attached
+        assert restarted.effective_state(
+            restarted.get_job(primary.id)
+        ) == "queued"
+
+    def test_restart_at_smaller_capacity_resumes_only_what_fits(
+        self, tmp_path
+    ):
+        journal = str(tmp_path / "jobs.jsonl")
+        daemon, _ = _recovering_daemon(journal, capacity=4)
+        ids = [
+            daemon.submit({"algorithms": [algo], "graphs": ["FR"]})[0].id
+            for algo in ("BFS", "CC", "PR", "SSSP")
         ]
-        assert shed_states == ["CC", "PR"]
-        assert shed_count == 2
+
+        restarted, _ = _recovering_daemon(journal, capacity=2)
+        assert restarted.stats.resumed == 2
+        assert restarted.stats.shed == 2
+        jobs = [restarted.job_dict(restarted.get_job(i)) for i in ids]
+        assert [(j["state"], j["resumed"]) for j in jobs] == [
+            ("queued", True),
+            ("queued", True),
+            ("shed", False),
+            ("shed", False),
+        ]
+
+        # A third boot keeps the shed jobs terminal.
+        third, _ = _recovering_daemon(journal, capacity=4)
+        assert third.stats.resumed == 2
+        assert third.stats.shed == 0
+        assert [third.get_job(i).state for i in ids] == [
+            "queued", "queued", "shed", "shed",
+        ]
+
+    def test_older_journal_format_replays_in_seq_order(self, tmp_path):
+        """A journal whose events still carry priority/client replays;
+        its jobs start in ``seq`` order whatever priority they had."""
+        events = [
+            {"kind": "repro-job-journal", "schema": 1},
+            {"event": "submit", "id": "j000001-aaaaaaaa", "seq": 1,
+             "spec": {"algorithms": ["CC"], "graphs": ["FR"]},
+             "priority": 0, "client": "alice", "job_key": "ka",
+             "coalesced_with": None},
+            {"event": "submit", "id": "j000002-bbbbbbbb", "seq": 2,
+             "spec": {"algorithms": ["PR"], "graphs": ["FR"]},
+             "priority": 9, "client": "bob", "job_key": "kb",
+             "coalesced_with": None},
+            {"event": "start", "id": "j000002-bbbbbbbb"},
+            {"event": "submit", "id": "j000003-cccccccc", "seq": 3,
+             "spec": {"algorithms": ["SSSP"], "graphs": ["FR"]},
+             "priority": 5, "client": "carol", "job_key": "kc",
+             "coalesced_with": None},
+            {"event": "submit", "id": "j000004-aaaaaaaa", "seq": 4,
+             "spec": {"algorithms": ["CC"], "graphs": ["FR"]},
+             "priority": 1, "client": "dave", "job_key": "ka",
+             "coalesced_with": "j000001-aaaaaaaa"},
+            {"event": "submit", "id": "j000005-dddddddd", "seq": 5,
+             "spec": {"algorithms": ["SSWP"], "graphs": ["FR"]},
+             "priority": 0, "client": "erin", "job_key": "kd",
+             "coalesced_with": None},
+            {"event": "cancel", "id": "j000005-dddddddd", "reason": "shed"},
+            {"event": "plan", "spec_name": "old", "spec_digest": "0" * 16,
+             "cells": 1, "cached": 0, "pending": 1,
+             "jobs": ["j000003-cccccccc"], "client": "carol"},
+        ]
+        journal = tmp_path / "jobs.jsonl"
+        journal.write_text(
+            "".join(json.dumps(event) + "\n" for event in events)
+        )
+
+        daemon, service = _recovering_daemon(str(journal))
+        assert daemon.stats.resumed == 3
+        states = {job["id"]: job["state"] for job in daemon.jobs_dict()}
+        assert states == {
+            "j000001-aaaaaaaa": "queued",
+            "j000002-bbbbbbbb": "queued",
+            "j000003-cccccccc": "queued",
+            "j000004-aaaaaaaa": "queued",  # coalesced: mirrors j000001
+            "j000005-dddddddd": "shed",
+        }
+        order = []
+        original = service.matrix
+
+        def recording_matrix(algorithms, graph_keys, **kwargs):
+            order.append(algorithms[0])
+            return original(algorithms, graph_keys, **kwargs)
+
+        service.matrix = recording_matrix
+        service.release.set()
+        daemon.start()
+        try:
+            deadline = time.monotonic() + 30
+            while daemon.stats.completed < 3:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert order == ["CC", "PR", "SSSP"]
+            assert daemon.job_dict(
+                daemon.get_job("j000004-aaaaaaaa")
+            )["state"] == "done"
+            assert daemon._seq == 5  # new ids continue after the journal
+        finally:
+            service.release.set()
+            daemon.stop(drain=False)

@@ -1,4 +1,5 @@
-"""The simulation daemon over HTTP: submit/poll, coalescing, backpressure.
+"""The simulation daemon over HTTP: submit/poll, coalescing, the bounded
+FIFO queue, and the stats/counter mirror.
 
 Every test runs an in-process daemon on an ephemeral port.  Real-service
 tests use the cheapest cell (BFS on the RM22 proxy); scheduling tests
@@ -6,6 +7,8 @@ substitute a stub service whose ``matrix`` blocks on an event, so queue
 states are reached deterministically instead of by racing timers.
 """
 
+import itertools
+import sys
 import threading
 import time
 
@@ -13,6 +16,7 @@ import pytest
 
 from repro.harness.serve import (
     DaemonConfig,
+    DaemonStats,
     JobSpec,
     SimulationDaemon,
     fetch_result,
@@ -21,6 +25,7 @@ from repro.harness.serve import (
     wait_for_job,
 )
 from repro.harness.service import CacheStats
+from repro.obs import TraceRecorder, use_recorder
 
 
 class StubService:
@@ -30,6 +35,8 @@ class StubService:
         self.release = threading.Event()
         self.started = threading.Event()
         self.executions = 0
+        #: ``algorithms`` of every matrix() call, in start order.
+        self.calls = []
         self.stats = CacheStats()
         self._lock = threading.Lock()
 
@@ -42,6 +49,7 @@ class StubService:
     def matrix(self, algorithms, graph_keys, jobs=None, executor=None):
         with self._lock:
             self.executions += 1
+            self.calls.append(list(algorithms))
         self.started.set()
         if not self.release.wait(timeout=30):
             raise TimeoutError("stub never released")
@@ -81,7 +89,7 @@ class TestHTTPSurface:
         daemon = make_daemon(tmp_path)
         try:
             url = daemon.base_url
-            status, _, body = submit_job(url, ["BFS"], ["RM22"], client="t")
+            status, _, body = submit_job(url, ["BFS"], ["RM22"])
             assert status == 202
             job_id = body["job"]["id"]
             final = wait_for_job(url, job_id, timeout=60)
@@ -117,6 +125,18 @@ class TestHTTPSurface:
             assert "error" in body
         assert daemon.stats.rejected_invalid == len(cases)
 
+    def test_unknown_body_keys_get_400_naming_the_key(self, stub_daemon):
+        daemon, service = stub_daemon
+        url = daemon.base_url + "/v1/jobs"
+        for key, value in (("priority", 1), ("client", "me")):
+            payload = {"algorithms": ["BFS"], "graphs": ["FR"], key: value}
+            status, _, body = http_json(url, method="POST", payload=payload)
+            assert status == 400, key
+            assert repr(key) in body["error"]
+        assert daemon.stats.rejected_invalid == 2
+        assert daemon.stats.admitted == 0
+        assert service.executions == 0
+
     def test_result_of_unfinished_job_is_409(self, stub_daemon):
         daemon, service = stub_daemon
         url = daemon.base_url
@@ -137,11 +157,9 @@ class TestCoalescing:
     def test_identical_inflight_submissions_attach(self, stub_daemon):
         daemon, service = stub_daemon
         url = daemon.base_url
-        _, _, first = submit_job(url, ["BFS"], ["FR"], client="a")
+        _, _, first = submit_job(url, ["BFS"], ["FR"])
         assert service.started.wait(timeout=10)
-        statuses = [
-            submit_job(url, ["BFS"], ["FR"], client=f"c{i}") for i in range(5)
-        ]
+        statuses = [submit_job(url, ["BFS"], ["FR"]) for _ in range(5)]
         for status, _, body in statuses:
             assert status == 202
             assert body["coalesced"] is True
@@ -178,31 +196,6 @@ class TestCoalescing:
 
 
 class TestBackpressure:
-    def test_rate_limited_client_gets_429_with_retry_after(self, tmp_path):
-        service = StubService()
-        daemon = make_daemon(
-            tmp_path, service=service, rate=1.0, burst=2.0, capacity=16
-        )
-        try:
-            url = daemon.base_url
-            results = [
-                submit_job(url, ["BFS"], ["FR"], client="greedy")
-                for _ in range(4)
-            ]
-            codes = [status for status, _, _ in results]
-            assert codes.count(202) == 2
-            assert codes.count(429) == 2
-            for status, headers, _ in results:
-                if status == 429:
-                    assert float(headers["Retry-After"]) > 0
-            # Another client is unaffected by greedy's empty bucket.
-            status, _, _ = submit_job(url, ["BFS"], ["FR"], client="calm")
-            assert status == 202
-            assert daemon.stats.rejected_rate_limited == 2
-        finally:
-            service.release.set()
-            daemon.stop(drain=False)
-
     def test_queue_full_gets_503_with_retry_after(self, tmp_path):
         service = StubService()
         daemon = make_daemon(
@@ -227,6 +220,96 @@ class TestBackpressure:
         finally:
             service.release.set()
             daemon.stop(drain=False)
+
+    def test_queued_jobs_start_in_fifo_order(self, stub_daemon):
+        daemon, service = stub_daemon
+        url = daemon.base_url
+        submit_job(url, ["BFS"], ["FR"])  # occupies the single slot
+        assert service.started.wait(timeout=10)
+        for algo in ("SSWP", "CC", "PR", "SSSP"):
+            assert submit_job(url, [algo], ["FR"])[0] == 202
+        service.release.set()
+        deadline = time.monotonic() + 20
+        while daemon.stats.completed < 5:
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        assert service.calls == [
+            ["BFS"], ["SSWP"], ["CC"], ["PR"], ["SSSP"]
+        ]
+
+    def test_cancelled_queued_job_frees_its_slot(self, tmp_path):
+        service = StubService()
+        daemon = make_daemon(tmp_path, service=service, capacity=2)
+        try:
+            url = daemon.base_url
+            submit_job(url, ["BFS"], ["FR"])  # running, not queued
+            assert service.started.wait(timeout=10)
+            _, _, queued = submit_job(url, ["CC"], ["FR"])
+            assert submit_job(url, ["PR"], ["FR"])[0] == 202
+            assert submit_job(url, ["SSSP"], ["FR"])[0] == 503  # full
+            job_id = queued["job"]["id"]
+            assert daemon.cancel(job_id) == (200, "cancelled")
+            assert daemon.stats_dict()["queue_depth"] == 1
+            assert submit_job(url, ["SSSP"], ["FR"])[0] == 202
+            assert daemon.stats_dict()["queue_depth"] == 2
+            assert daemon.stats.rejected_queue_full == 1
+        finally:
+            service.release.set()
+            daemon.stop(drain=False)
+
+    def test_concurrent_burst_never_overfills_the_queue(self, tmp_path):
+        """Eight threads race distinct submissions into a capacity-20
+        queue behind one blocked job: exactly 20 queue, the rest get 503,
+        and every accepted job runs exactly once."""
+        service = StubService()
+        daemon = make_daemon(tmp_path, service=service, capacity=20)
+        algos = ("BFS", "SSSP", "CC", "SSWP", "PR")
+        specs = [
+            {"algorithms": list(combo), "graphs": [graph]}
+            for graph in ("FR", "PK", "LJ")
+            for r in range(1, 4)
+            for combo in itertools.combinations(algos, r)
+        ]  # 75 distinct cell sets: nothing coalesces
+        interval = sys.getswitchinterval()
+        try:
+            assert daemon.submit(specs[0])[0] is not None
+            assert service.started.wait(timeout=10)
+            statuses = []
+            sys.setswitchinterval(1e-6)
+
+            def burst(chunk):
+                for spec in chunk:
+                    statuses.append(daemon.submit(spec)[1].status)
+
+            threads = [
+                threading.Thread(target=burst, args=(specs[1 + i :: 8],))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            sys.setswitchinterval(interval)
+            assert sorted(statuses) == [202] * 20 + [503] * 54
+            assert daemon.stats_dict()["queue_depth"] == 20
+            assert daemon.stats.admitted == 21
+            assert daemon.stats.rejected_queue_full == 54
+            service.release.set()
+            _wait_for(lambda: daemon.stats.completed == 21)
+            assert service.executions == 21
+        finally:
+            sys.setswitchinterval(interval)
+            service.release.set()
+            daemon.stop(drain=False)
+
+    def test_capacity_below_one_is_rejected(self):
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="capacity"):
+                SimulationDaemon(
+                    DaemonConfig(journal_path=None, capacity=capacity),
+                    service=StubService(),
+                )
 
     def test_injected_queue_overflow_forces_503(self, tmp_path):
         service = StubService()
@@ -305,31 +388,107 @@ class TestLifecycle:
             events = [line for line in handle.read().splitlines()]
         assert any('"shutdown"' in line for line in events)
 
-    def test_executor_degrades_under_queue_pressure(self, tmp_path):
-        service = StubService()
-        daemon = make_daemon(
-            tmp_path, service=service, capacity=4, executor="process"
+
+# ----------------------------------------------------------------------
+# One counting path: DaemonStats == the serve.* counters
+# ----------------------------------------------------------------------
+
+
+class PlannableStubService(StubService):
+    """StubService plus the axis surface the planner reads, with
+    per-algorithm behaviour: CC raises, SSSP blocks until released,
+    everything else finishes at once."""
+
+    default_source = 0
+    storage = "memory"
+    shards = 1
+    backends = ("stub",)
+
+    def probe(self, algorithm, graph_key):
+        request = self.request_for(algorithm, graph_key)
+        return request, self.cache_key(request), "miss"
+
+    def matrix(self, algorithms, graph_keys, jobs=None, executor=None):
+        with self._lock:
+            self.executions += 1
+            self.calls.append(list(algorithms))
+        self.started.set()
+        if "CC" in algorithms:
+            raise RuntimeError("stub cell crashed")
+        if "SSSP" in algorithms and not self.release.wait(timeout=30):
+            raise TimeoutError("stub never released")
+        return []
+
+
+def _wait_for(predicate, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestStatsCounters:
+    def test_every_stats_field_equals_its_serve_counter(self, tmp_path):
+        """A scenario that bumps every DaemonStats field leaves each one
+        equal to its ``serve.<field>`` counter."""
+        journal = str(tmp_path / "jobs.jsonl")
+        # Three queued jobs journaled by a daemon that never started.
+        first = SimulationDaemon(
+            DaemonConfig(journal_path=journal, capacity=4),
+            service=PlannableStubService(),
         )
-        try:
-            url = daemon.base_url
-            submit_job(url, ["BFS"], ["FR"])
-            assert service.started.wait(timeout=10)
-            # Queue 3 more: when they start, depth + running >= 50% of
-            # capacity, so they degrade process -> thread.
-            for algo in ("CC", "PR", "SSSP"):
-                assert submit_job(url, [algo], ["FR"])[0] == 202
-            service.release.set()
-            deadline = time.monotonic() + 20
-            while daemon.stats.completed < 4:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
-            assert daemon.stats.degraded_executor >= 1
-            degraded = [
-                job for job in daemon.jobs_dict() if job["executor"] != "process"
-            ]
-            assert degraded and all(
-                job["executor"] in ("thread", "serial") for job in degraded
+        for algo in ("BFS", "PR", "SSWP"):
+            assert first.submit({"algorithms": [algo], "graphs": ["FR"]})[0]
+
+        service = PlannableStubService()
+        with use_recorder(TraceRecorder()) as rec:
+            # Restart at capacity 2: two jobs resume, SSWP is shed.
+            daemon = SimulationDaemon(
+                DaemonConfig(
+                    port=0,
+                    journal_path=journal,
+                    capacity=2,
+                    poll_interval=0.01,
+                    inject=("queue-overflow:1:1",),
+                ),
+                service=service,
             )
-        finally:
-            service.release.set()
-            daemon.stop(drain=False)
+            daemon.start()
+            try:
+                _wait_for(lambda: daemon.stats.completed == 2)
+                sssp = {"algorithms": ["SSSP"], "graphs": ["FR"]}
+                # Submission 1 is force-rejected (injected overflow).
+                assert daemon.submit(sssp)[1].status == 503
+                blocker, _ = daemon.submit(sssp)
+                _wait_for(lambda: blocker.state == "running")
+                assert daemon.submit(sssp)[1].reason == "coalesced"
+                crash, _ = daemon.submit({"algorithms": ["CC"], "graphs": ["FR"]})
+                victim, _ = daemon.submit({"algorithms": ["BFS"], "graphs": ["PK"]})
+                full = daemon.submit({"algorithms": ["PR"], "graphs": ["PK"]})
+                assert full[1].status == 503  # the real queue bound
+                assert daemon.cancel(victim.id)[0] == 200
+                assert daemon.submit({"algorithms": []})[1].status == 400
+                status, body = daemon.plan_submission(
+                    {"yaml": "name: p\nalgorithms: [BFS]\ngraphs: [RM22]\n"}
+                )
+                assert status == 202 and len(body["jobs"]) == 1
+                # Only now let the watchdog abandon the blocked job.
+                daemon.config.job_deadline = 0.05
+                _wait_for(lambda: daemon.stats.completed == 3)
+                assert crash.state == "failed"
+                daemon.drain()
+                assert daemon.submit(sssp)[1].status == 503
+            finally:
+                service.release.set()
+                daemon.stop(drain=False)
+
+        fields = DaemonStats().to_dict()
+        stats = daemon.stats.to_dict()
+        counters = {
+            name: rec.counter(f"serve.{name}").value for name in fields
+        }
+        assert counters == stats
+        assert all(value >= 1 for value in stats.values()), stats
+        assert stats["resumed"] == 2 and stats["shed"] == 1
+        assert stats["timeouts"] == 1 and stats["failed"] == 2
+        assert stats["rejected_queue_full"] == 2

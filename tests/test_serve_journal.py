@@ -36,7 +36,7 @@ class TestReplay:
         assert header == {"kind": "repro-job-journal", "schema": 1}
 
     def test_full_lifecycle_folds_to_done(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "alice", "k1")
+        journal.submit("j1", 1, SPEC, "k1")
         journal.start("j1")
         journal.done("j1", result_digest="abc123")
         records, max_seq = JobJournal.replay(journal.path)
@@ -45,42 +45,41 @@ class TestReplay:
         assert record.state == "done"
         assert record.terminal
         assert record.result_digest == "abc123"
-        assert record.client == "alice"
         assert record.spec == SPEC
 
     def test_submit_without_done_is_unfinished(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
-        journal.submit("j2", 2, SPEC, 3, "b", "k2")
+        journal.submit("j1", 1, SPEC, "k1")
+        journal.submit("j2", 2, SPEC, "k2")
         journal.start("j2")
         unfinished = journal.unfinished()
         assert [r.job_id for r in unfinished] == ["j1", "j2"]
         assert unfinished[1].state == "started"
-        assert unfinished[1].priority == 3
+        assert unfinished[1].seq == 2
 
     def test_cancel_reasons_fold_to_distinct_states(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
+        journal.submit("j1", 1, SPEC, "k1")
         journal.cancel("j1", reason="shed")
-        journal.submit("j2", 2, SPEC, 0, "a", "k2")
+        journal.submit("j2", 2, SPEC, "k2")
         journal.cancel("j2")
         records, _ = JobJournal.replay(journal.path)
         assert records["j1"].state == "shed"
         assert records["j2"].state == "cancelled"
 
     def test_fail_folds_error(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
+        journal.submit("j1", 1, SPEC, "k1")
         journal.fail("j1", "boom")
         records, _ = JobJournal.replay(journal.path)
         assert records["j1"].state == "failed"
         assert records["j1"].error == "boom"
 
     def test_coalesced_submission_is_recorded(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
-        journal.submit("j2", 2, SPEC, 0, "b", "k1", coalesced_with="j1")
+        journal.submit("j1", 1, SPEC, "k1")
+        journal.submit("j2", 2, SPEC, "k1", coalesced_with="j1")
         records, _ = JobJournal.replay(journal.path)
         assert records["j2"].coalesced_with == "j1"
 
     def test_resume_event_keeps_job_unfinished(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
+        journal.submit("j1", 1, SPEC, "k1")
         journal.start("j1")
         journal.resume("j1")
         assert [r.job_id for r in journal.unfinished()] == ["j1"]
@@ -88,7 +87,7 @@ class TestReplay:
 
 class TestTornTail:
     def test_torn_tail_line_is_skipped(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
+        journal.submit("j1", 1, SPEC, "k1")
         journal.done("j1")
         with open(journal.path, "a") as handle:
             handle.write('{"event": "submit", "id": "j2", "se')  # torn
@@ -97,7 +96,7 @@ class TestTornTail:
         assert max_seq == 1
 
     def test_torn_terminal_event_reverts_to_unfinished(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
+        journal.submit("j1", 1, SPEC, "k1")
         with open(journal.path) as handle:
             good = handle.read()
         with open(journal.path, "w") as handle:
@@ -111,9 +110,9 @@ class TestTornTail:
             JobJournal.replay(str(path))
 
     def test_reopen_existing_journal_does_not_rewrite_header(self, journal):
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
+        journal.submit("j1", 1, SPEC, "k1")
         reopened = JobJournal(journal.path)
-        reopened.submit("j2", 2, SPEC, 0, "a", "k2")
+        reopened.submit("j2", 2, SPEC, "k2")
         records, max_seq = JobJournal.replay(journal.path)
         assert set(records) == {"j1", "j2"}
         assert max_seq == 2
@@ -130,7 +129,7 @@ class TestFlakyJournal:
         journal = JobJournal(str(tmp_path / "j.jsonl"), faults=faults)
         # The header bypasses append(), so the submit event is the first
         # distinct token: it fails twice, is retried, then lands.
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")
+        journal.submit("j1", 1, SPEC, "k1")
         assert journal.append_retries == 2
         records, _ = JobJournal.replay(journal.path)
         assert "j1" in records
@@ -141,12 +140,12 @@ class TestFlakyJournal:
             str(tmp_path / "j.jsonl"), faults=faults, max_attempts=3
         )
         with pytest.raises(JournalError, match="after 3 attempts"):
-            journal.submit("j1", 1, SPEC, 0, "a", "k1")
+            journal.submit("j1", 1, SPEC, "k1")
 
     def test_fault_targets_nth_distinct_append(self, tmp_path):
         faults = FaultInjector(["flaky-journal:2:1"])
         journal = JobJournal(str(tmp_path / "j.jsonl"), faults=faults)
-        journal.submit("j1", 1, SPEC, 0, "a", "k1")  # token 1: clean
+        journal.submit("j1", 1, SPEC, "k1")  # token 1: clean
         assert journal.append_retries == 0
         journal.start("j1")  # token 2: fails once, retried
         assert journal.append_retries == 1

@@ -74,10 +74,8 @@ class TestPlanLifecycle:
             assert daemon.stats.admitted == 0
 
             # Real submission: pending cells fan out as one job per
-            # graph group through the normal admission path.
-            status, _, body = submit_plan(
-                url, yaml_text=SPEC_YAML, client="battery"
-            )
+            # graph group through the normal submission path.
+            status, _, body = submit_plan(url, yaml_text=SPEC_YAML)
             assert status == 202
             assert len(body["jobs"]) == 1  # one graph -> one job
             job = body["jobs"][0]
@@ -112,10 +110,9 @@ class TestPlanLifecycle:
                 "algorithms": ["BFS"],
                 "graphs": ["RM22"],
             }
-            status, _, body = submit_plan(url, spec=spec, priority=3)
+            status, _, body = submit_plan(url, spec=spec)
             assert status == 202
             assert len(body["jobs"]) == 1
-            assert body["jobs"][0]["priority"] == 3
             wait_for_job(url, body["jobs"][0]["id"], timeout=120)
             assert daemon.stats.planned == 1
         finally:
@@ -195,6 +192,13 @@ class TestPlanRejections:
         )
         assert status == 400
         assert "priority" in body["error"]
+        status, _, body = http_json(
+            url + "/v1/plans",
+            method="POST",
+            payload={"yaml": SPEC_YAML, "client": "me"},
+        )
+        assert status == 400
+        assert "client" in body["error"] and body["field"] == "client"
 
     def test_rejections_count_as_invalid(self, daemon):
         before = daemon.stats.rejected_invalid
@@ -208,7 +212,7 @@ class TestInflightClassification:
         daemon = make_daemon(tmp_path, service=service)
         try:
             url = daemon.base_url
-            status, _, body = submit_job(url, ["BFS"], ["RM22"], client="t")
+            status, _, body = submit_job(url, ["BFS"], ["RM22"])
             assert status == 202
             assert service.started.wait(timeout=10)
 

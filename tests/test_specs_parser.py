@@ -103,8 +103,6 @@ def spec_dicts(draw):
         data["storage"] = "mmap"
     if draw(st.booleans()):
         data["shards"] = draw(st.integers(min_value=2, max_value=8))
-    if draw(st.booleans()):
-        data["priority"] = draw(st.integers(min_value=-5, max_value=5))
     # Exclusion must not empty the (filtered) grid.
     if len(eff_graphs) > 1 and draw(st.booleans()):
         data.setdefault("filter", {})["exclude"] = [
