@@ -1,29 +1,15 @@
-"""GraphDynS accelerator: configuration, components, timing, top level."""
+"""GraphDynS accelerator: configuration, timing, micro-model, top level."""
 
 from .config import DEFAULT_CONFIG, GraphDynSConfig
-from .dispatcher import Dispatcher, EdgeWorkload, VertexWorkload
-from .prefetcher import EPBLayout, Prefetcher
-from .processor import EdgeResult, Processor
-from .updater import Updater, UpdatingElement
 from .timing import GraphDynSTimingModel
 from .micro import MicroScatterResult, simulate_scatter_microarch
-from .accelerator import ComponentRunResult, GraphDynS
+from .accelerator import GraphDynS
 
 __all__ = [
     "DEFAULT_CONFIG",
     "GraphDynSConfig",
-    "Dispatcher",
-    "EdgeWorkload",
-    "VertexWorkload",
-    "EPBLayout",
-    "Prefetcher",
-    "EdgeResult",
-    "Processor",
-    "Updater",
-    "UpdatingElement",
     "GraphDynSTimingModel",
     "MicroScatterResult",
     "simulate_scatter_microarch",
-    "ComponentRunResult",
     "GraphDynS",
 ]

@@ -1,50 +1,26 @@
 """GraphDynS top-level accelerator model and public entry point.
 
-Two execution modes:
-
-* :meth:`GraphDynS.run` -- the evaluation path: the vectorized functional
-  engine executes the algorithm while the timing model observes each
-  iteration, yielding a :class:`~repro.metrics.counters.RunReport` with
-  modeled cycles, traffic, utilization, and scheduling statistics.
-* :meth:`GraphDynS.run_component_level` -- the validation path: every
-  iteration flows through the explicit Dispatcher -> Prefetcher ->
-  Processor -> crossbar -> Updater components (Fig. 3c/d, steps S1-S5).
-  Slow, but it exercises the microarchitecture piece by piece; integration
-  tests assert it computes the same properties as the functional engine.
+:meth:`GraphDynS.run` is the one execution path: the vectorized
+functional engine executes the algorithm while
+:class:`~repro.graphdyns.timing.GraphDynSTimingModel` observes each
+iteration, yielding a :class:`~repro.metrics.counters.RunReport` with
+modeled cycles, traffic, utilization, and scheduling statistics.  The
+Fig. 3 datapath (Dispatcher -> Prefetcher -> Processor -> crossbar ->
+Updater) lives in that timing model's closed forms.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional, Tuple
-
-import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..metrics.counters import RunReport
-from ..obs import get_recorder
 from ..vcpm.engine import VCPMResult, run_vcpm
-from ..vcpm.optimized import dispatch_scatter as make_active_records
 from ..vcpm.spec import AlgorithmSpec
 from .config import DEFAULT_CONFIG, GraphDynSConfig
-from .dispatcher import Dispatcher
-from .prefetcher import Prefetcher
-from .processor import Processor
 from .timing import GraphDynSTimingModel
-from .updater import Updater
 
-__all__ = ["GraphDynS", "ComponentRunResult"]
-
-
-@dataclasses.dataclass
-class ComponentRunResult:
-    """Outcome of a component-level (micro-model) run."""
-
-    properties: np.ndarray
-    num_iterations: int
-    converged: bool
-    scheduling_ops: int
-    edges_processed: int
+__all__ = ["GraphDynS"]
 
 
 class GraphDynS:
@@ -75,107 +51,3 @@ class GraphDynS:
             observers=[timing],
         )
         return result, timing.report()
-
-    def run_component_level(
-        self,
-        graph: CSRGraph,
-        spec: AlgorithmSpec,
-        source: Optional[int] = 0,
-        max_iterations: Optional[int] = None,
-    ) -> ComponentRunResult:
-        """Execute through the explicit component micro-models.
-
-        Intended for small graphs (every edge flows through Python
-        objects); validates the datapath wiring of Fig. 3.
-        """
-        cfg = self.config
-        num_vertices = graph.num_vertices
-        if max_iterations is None:
-            max_iterations = spec.default_max_iterations
-        if not spec.needs_source:
-            source = None
-
-        prop = spec.initial_prop(num_vertices, source)
-        deg = graph.out_degree().astype(np.float64)
-        c_prop = deg if spec.uses_degree_cprop else np.zeros(num_vertices)
-        if spec.uses_degree_cprop and num_vertices:
-            prop = prop / np.maximum(c_prop, 1.0)
-
-        if spec.all_vertices_active_initially:
-            active = np.arange(num_vertices, dtype=np.int64)
-        elif source is not None and num_vertices:
-            active = np.asarray([source], dtype=np.int64)
-        else:
-            active = np.zeros(0, dtype=np.int64)
-
-        dispatcher = Dispatcher(cfg)
-        prefetcher = Prefetcher(cfg)
-        processor = Processor(spec, cfg)
-        updater = Updater(num_vertices, spec, cfg)
-
-        rec = get_recorder()
-        converged = False
-        iterations = 0
-        for _ in range(max_iterations):
-            if active.size == 0:
-                converged = True
-                break
-
-            with rec.span(
-                "component.iteration",
-                track="graphdyns.component",
-                iteration=iterations,
-                active=int(active.size),
-            ):
-                # --- Scatter: S1 read active vertex data, S2 dispatch,
-                # S3/S4 read+process edges, S5 reduce into VB. ---
-                records = make_active_records(prop, graph.offsets, active)
-                with rec.span("component.dispatch", track="graphdyns.component"):
-                    workloads = dispatcher.dispatch_scatter(records)
-                with rec.span("component.prefetch", track="graphdyns.component"):
-                    prefetcher.plan(records, weighted=spec.uses_weights)
-                    prefetcher.arrange_epb(workloads)
-                with rec.span("component.process", track="graphdyns.component"):
-                    edge_results = processor.process_scatter(graph, workloads)
-                with rec.span("component.reduce", track="graphdyns.component"):
-                    updater.scatter_update(edge_results)
-
-                # --- Apply: S1/S2 vertex workloads, S3/S4 apply, S5 update
-                # and activate. ---
-                with rec.span("component.apply", track="graphdyns.component"):
-                    t_prop = updater.t_prop_array()
-                    vertex_workloads = dispatcher.dispatch_apply(num_vertices)
-                    apply_results = processor.process_apply(
-                        vertex_workloads, prop, t_prop, c_prop
-                    )
-                    old_prop = prop.copy()
-                    activated = updater.apply_update(apply_results, prop)
-                updater.reset_for_next_iteration()
-                if rec.enabled:
-                    rec.counter("component.iterations").add()
-                    rec.counter("component.workloads").add(len(workloads))
-                    rec.counter("component.edge_results").add(len(edge_results))
-                    rec.counter("component.activated").add(int(activated.size))
-                # The micro-model carries no cycle estimate; tick once so
-                # component spans still order on the shared timeline.
-                rec.clock.tick()
-            iterations += 1
-
-            if spec.resets_tprop_each_iteration:
-                if float(np.abs(prop - old_prop).sum()) < 1e-7:
-                    converged = True
-                    break
-                active = np.arange(num_vertices, dtype=np.int64)
-            else:
-                active = activated
-                if active.size == 0:
-                    converged = True
-                    break
-
-        return ComponentRunResult(
-            properties=prop,
-            num_iterations=iterations,
-            converged=converged,
-            scheduling_ops=dispatcher.scheduling_ops,
-            edges_processed=processor.edges_processed,
-        )

@@ -56,7 +56,6 @@ def simulate_scatter_microarch(
     config: GraphDynSConfig = DEFAULT_CONFIG,
     ue_queue_depth: int = 4,
     max_cycles: int = 10_000_000,
-    engine: str = "event",
 ) -> MicroScatterResult:
     """Replay destination streams through the issue/crossbar/UE pipeline.
 
@@ -68,27 +67,7 @@ def simulate_scatter_microarch(
         ue_queue_depth: FIFO entries between each crossbar output and its
             Reduce Pipeline.
         max_cycles: safety bound.
-        engine: ``"event"`` replays cycle by cycle (the retained
-            reference below); ``"vectorized"`` computes the bit-identical
-            result through :func:`repro.kernels.
-            simulate_scatter_microarch_vectorized`'s closed-form drain
-            schedule.
     """
-    if engine == "vectorized":
-        from ..kernels.micro_drain import (
-            simulate_scatter_microarch_vectorized,
-        )
-
-        return simulate_scatter_microarch_vectorized(
-            pe_streams,
-            config=config,
-            ue_queue_depth=ue_queue_depth,
-            max_cycles=max_cycles,
-        )
-    if engine != "event":
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'event' or 'vectorized'"
-        )
     num_ues = config.num_ues
     n_simt = config.n_simt
     queues: List[Deque[int]] = [deque() for _ in range(num_ues)]

@@ -1,7 +1,7 @@
 """Component-level Graphicionado stream model.
 
-The functional mirror of :mod:`repro.graphdyns`'s component path, built
-from the Graphicionado design as the GraphDynS paper describes it:
+A functional, stream-by-stream replay of the Graphicionado design as the
+GraphDynS paper describes it:
 
 * **source-oriented streams** walk each active vertex's edge list
   *sequentially*, reading ``src_vid``-tagged edge records and detecting the
@@ -55,25 +55,17 @@ class StreamRunResult:
 class GraphicionadoStreams:
     """The baseline pipeline, stream by stream.
 
-    ``kernel`` picks the reduce engines' rendering: ``"scalar"`` replays
-    :class:`StallingReducePipeline` op by op (the reference), while
-    ``"vectorized"`` runs the bit-identical closed form of
-    :func:`repro.kernels.stalling_run`.
+    Each reduce engine replays its ops through
+    :class:`StallingReducePipeline`, op by op.
     """
 
     def __init__(
         self,
         spec: AlgorithmSpec,
         config: GraphicionadoConfig = GRAPHICIONADO_CONFIG,
-        kernel: str = "vectorized",
     ) -> None:
-        if kernel not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected 'scalar' or 'vectorized'"
-            )
         self.spec = spec
         self.config = config
-        self.kernel = kernel
 
     # ------------------------------------------------------------------
     def _walk_edge_list(
@@ -161,13 +153,7 @@ class GraphicionadoStreams:
                     addr: t_prop.get(addr, spec.reduce_op.identity)
                     for addr, _ in ops
                 }
-                if self.kernel == "scalar":
-                    outcome = StallingReducePipeline(spec.reduce_op).run(ops, seeded)
-                else:
-                    from ..kernels.reduce import split_ops, stalling_run
-
-                    addrs, values = split_ops(ops)
-                    outcome = stalling_run(addrs, values, spec.reduce_op, vb=seeded)
+                outcome = StallingReducePipeline(spec.reduce_op).run(ops, seeded)
                 stall_cycles += outcome.stall_cycles
                 t_prop.update(outcome.vb)
 

@@ -415,8 +415,9 @@ class SimulationDaemon:
         job_key: str,
         coalesced_with: Optional[str] = None,
     ) -> Job:
+        """A fresh job with the next id; the caller registers it."""
         self._seq += 1
-        job = Job(
+        return Job(
             id=f"j{self._seq:06d}-{job_key[:8]}",
             seq=self._seq,
             spec=spec,
@@ -424,8 +425,6 @@ class SimulationDaemon:
             coalesced_with=coalesced_with,
             submitted_at=time.time(),
         )
-        self._jobs[job.id] = job
-        return job
 
     # ------------------------------------------------------------------
     # Counters
@@ -480,41 +479,36 @@ class SimulationDaemon:
         job_key = self.job_key(spec)
         with self._lock:
             primary_id = self._inflight.get(job_key)
-            if primary_id is not None:
-                # Identical work already in flight: attach, don't queue.
-                primary = self._jobs[primary_id]
-                job = self._new_job(spec, job_key, coalesced_with=primary_id)
-                job.state = "coalesced"
-                primary.attached.append(job.id)
-                self._count("coalesced")
-                self._journal_submit(job)
-                return job, SubmitDecision(
-                    accepted=True, status=202, reason="coalesced"
-                )
-            job = self._new_job(spec, job_key)
-            if not self._queue.offer(job):
-                del self._jobs[job.id]
-                self._seq -= 1
+            # Every offer happens under this lock and the scheduler only
+            # pops, so a queue with room now still has room below.
+            if primary_id is None and len(self._queue) >= self._queue.capacity:
                 return None, self._reject_full(
                     f"queue full ({self._queue.capacity} jobs)"
                 )
-            self._inflight[job_key] = job.id
-            self._count("admitted")
-            self._set_depth_gauge()
+            job = self._new_job(spec, job_key, coalesced_with=primary_id)
             try:
                 self._journal_submit(job)
             except JournalError as exc:
-                # No durability, no acknowledgement: withdraw the job.
-                self._queue.remove(job)
-                self._inflight.pop(job_key, None)
-                job.state = "failed"
-                job.error = repr(exc)
+                # No durability, no acknowledgement: the job never existed.
                 return None, SubmitDecision(
                     accepted=False,
                     status=503,
                     reason=f"journal unavailable: {exc}",
                     retry_after=self.config.retry_after_full,
                 )
+            self._jobs[job.id] = job
+            if primary_id is not None:
+                # Identical work already in flight: attach, don't queue.
+                job.state = "coalesced"
+                self._jobs[primary_id].attached.append(job.id)
+                self._count("coalesced")
+                return job, SubmitDecision(
+                    accepted=True, status=202, reason="coalesced"
+                )
+            self._queue.offer(job)
+            self._inflight[job_key] = job.id
+            self._count("admitted")
+            self._set_depth_gauge()
         return job, SubmitDecision(accepted=True, status=202)
 
     def inflight_cell_keys(self) -> FrozenSet[str]:

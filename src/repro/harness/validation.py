@@ -1,16 +1,15 @@
 """Cross-engine validation: every execution path computes the same thing.
 
-The repository has five ways to execute a VCPM algorithm:
+The repository has four ways to execute a VCPM algorithm:
 
 1. the vectorized functional engine (Algorithm 1),
 2. the scalar optimized programming model (Algorithm 2),
 3. pull mode,
-4. functionally-sliced mode,
-5. the component-level micro-architecture path.
+4. functionally-sliced mode.
 
 They exist for different purposes (speed, fidelity, validation), but they
 must agree bit-for-bit on properties.  This module sweeps random graphs
-through all five and reports any divergence: the repository's
+through all four and reports any divergence: the repository's
 self-check, exposed as ``python -m repro validate``.
 """
 
@@ -23,7 +22,6 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.generators import power_law_graph, uniform_random_graph
-from ..graphdyns.accelerator import GraphDynS
 from ..vcpm.algorithms import ALGORITHMS
 from ..vcpm.engine import run_vcpm
 from ..vcpm.optimized import run_optimized
@@ -52,7 +50,6 @@ def validate_engines(
     graph: CSRGraph,
     algorithm: str,
     source: int = 0,
-    include_component_level: bool = True,
     max_iterations: Optional[int] = None,
 ) -> ValidationOutcome:
     """Run every engine on one graph and compare properties."""
@@ -80,10 +77,6 @@ def validate_engines(
             source=source, max_iterations=max_iterations, **kwargs
         ).properties,
     }
-    if include_component_level:
-        candidates["component"] = GraphDynS().run_component_level(
-            graph, spec, source=source, max_iterations=max_iterations
-        ).properties
 
     for name, properties in candidates.items():
         got = _canon(properties)
@@ -111,7 +104,6 @@ def validate_all(
     seeds: int = 3,
     vertices: int = 200,
     edges: int = 1000,
-    include_component_level: bool = True,
 ) -> List[ValidationOutcome]:
     """The full self-check: every algorithm on a battery of random graphs."""
     outcomes: List[ValidationOutcome] = []
@@ -122,11 +114,5 @@ def validate_all(
                 name=f"{make.__name__}-{seed}",
             )
             for algorithm in ALGORITHMS:
-                outcomes.append(
-                    validate_engines(
-                        graph,
-                        algorithm,
-                        include_component_level=include_component_level,
-                    )
-                )
+                outcomes.append(validate_engines(graph, algorithm))
     return outcomes

@@ -1,48 +1,22 @@
 """Vectorized simulation kernels.
 
-Every timing-side hot path in the reproduction has two renderings:
+One kernel remains: :mod:`repro.kernels.hbm_batch`, the array rendering
+of :meth:`HBMModel.pattern_cycles` that :meth:`HBMModel.service` uses on
+every timing model's memory path.  Its retained scalar reference is
+:meth:`HBMModel.service_scalar`; the contract is *bit-exact
+equivalence* of cycles, bytes and accumulated model state
+(``tests/test_kernels_equivalence.py`` enforces it with property-based
+pattern batches, and ``benchmarks/bench_kernels.py --check`` times both
+renderings and asserts they agree).
 
-* a **retained scalar reference** that follows the paper's pseudocode or
-  pipeline diagram cycle by cycle (``repro.core.reduce_pipeline``,
-  ``repro.vcpm.optimized``, ``repro.graphdyns.micro``,
-  ``HBMModel.service_scalar``), and
-* a **vectorized kernel** in this package that computes the identical
-  result with numpy array operations -- closed-form cycle models, grouped
-  ``ufunc.at`` folds, and batched pattern servicing.
-
-Each component model picks its rendering through a local argument
-(``GraphicionadoStreams(kernel=)``, ``run_optimized(kernel=)``,
-``simulate_scatter_microarch(engine=)``); there is no ambient or
-process-wide selection.  The contract is *bit-exact equivalence*:
-cycles, stalls, properties and queue occupancies from the vectorized
-kernel must equal the scalar rendering on every input
-(``tests/test_kernels_equivalence.py`` enforces this with property-based
-streams and graphs).  The kernels exist purely for speed --
-``benchmarks/bench_kernels.py`` records the scalar/vectorized gaps in
-``BENCH_kernels.json`` -- so paper-scale proxies stop being bounded by
-Python interpreter throughput.
+The other component models (the Reduce Pipelines, Algorithm 2, the
+Scatter micro-model) have a single, scalar rendering: none of them is on
+the reported path, so they stay as the readable specification.
 """
 
 from .hbm_batch import batch_cycles_sum, pattern_cycles_batch
-from .micro_drain import KernelFallbackWarning, simulate_scatter_microarch_vectorized
-from .reduce import (
-    fold_ops,
-    split_ops,
-    stalling_cycle_model,
-    stalling_run,
-    zero_stall_run,
-)
-from .scatter_apply import run_optimized_batched
 
 __all__ = [
     "batch_cycles_sum",
     "pattern_cycles_batch",
-    "simulate_scatter_microarch_vectorized",
-    "fold_ops",
-    "split_ops",
-    "stalling_cycle_model",
-    "stalling_run",
-    "zero_stall_run",
-    "run_optimized_batched",
-    "KernelFallbackWarning",
 ]

@@ -106,33 +106,13 @@ def run_optimized(
     max_iterations: Optional[int] = None,
     v_list_size: int = 8,
     pr_tolerance: float = 1e-7,
-    kernel: str = "scalar",
 ) -> OptimizedRunResult:
     """Execute Algorithm 2 end to end.
 
-    With ``kernel="scalar"`` (the retained reference) the processing
-    stages loop over dispatched records exactly as the pseudocode does.
-    ``kernel="batched"`` (alias ``"vectorized"``) routes through
-    :func:`repro.kernels.run_optimized_batched`, whose array rendering of
-    the same stages is bit-identical (asserted in tests) and orders of
-    magnitude faster on proxy-scale graphs.
+    The processing stages loop over dispatched records exactly as the
+    pseudocode does; :func:`repro.vcpm.engine.run_vcpm` is the fast
+    rendering of the same computation.
     """
-    if kernel in ("batched", "vectorized"):
-        from ..kernels.scatter_apply import run_optimized_batched
-
-        return run_optimized_batched(
-            graph,
-            spec,
-            source=source,
-            max_iterations=max_iterations,
-            v_list_size=v_list_size,
-            pr_tolerance=pr_tolerance,
-        )
-    if kernel != "scalar":
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected 'scalar', 'batched' or "
-            f"'vectorized'"
-        )
     num_vertices = graph.num_vertices
     if max_iterations is None:
         max_iterations = spec.default_max_iterations

@@ -11,23 +11,6 @@ from repro.graph import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _reset_kernel_fallback_warnings():
-    """Reset the kernel fallback warn-once latch between tests.
-
-    The latch is process-wide state: without this reset, whether a test
-    sees a ``KernelFallbackWarning`` depends on which test triggered the
-    same fallback first — i.e. on collection order.  Resetting before
-    *and* after keeps both this test and any non-autouse-aware neighbour
-    order-independent.
-    """
-    from repro.kernels.micro_drain import reset_fallback_warnings
-
-    reset_fallback_warnings()
-    yield
-    reset_fallback_warnings()
-
-
 def pytest_addoption(parser):
     parser.addoption(
         "--update-goldens",

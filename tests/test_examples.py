@@ -37,10 +37,6 @@ class TestExampleScripts:
         for system in ("Gunrock", "Graphicionado", "GraphDynS"):
             assert system in out
 
-    def test_component_walkthrough(self, capsys):
-        out = _run_main("component_walkthrough", [], capsys)
-        assert "matches the vectorized engine" in out
-
     def test_custom_algorithm(self, capsys):
         out = _run_main("custom_algorithm", [], capsys)
         assert "k=5" in out

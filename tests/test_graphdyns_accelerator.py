@@ -1,11 +1,10 @@
-"""Component-level accelerator vs vectorized engine equivalence."""
+"""GraphDynS accelerator facade: what ``GraphDynS.run`` reports."""
 
-import numpy as np
 import pytest
 
 from repro.graph import power_law_graph
 from repro.graphdyns import GraphDynS
-from repro.vcpm import ALGORITHMS, run_vcpm
+from repro.vcpm import ALGORITHMS
 
 
 @pytest.fixture(scope="module")
@@ -13,58 +12,21 @@ def walk_graph():
     return power_law_graph(250, 1200, seed=21, name="walk")
 
 
-class TestComponentEquivalence:
-    @pytest.mark.parametrize("algo", ["BFS", "SSSP", "CC", "SSWP"])
-    def test_matches_engine(self, algo, walk_graph):
-        acc = GraphDynS()
-        engine = run_vcpm(walk_graph, ALGORITHMS[algo], source=0)
-        component = acc.run_component_level(
-            walk_graph, ALGORITHMS[algo], source=0
-        )
-        assert component.converged == engine.converged
-        assert np.array_equal(
-            np.nan_to_num(component.properties, posinf=1e30),
-            np.nan_to_num(engine.properties, posinf=1e30),
-        )
-
-    def test_pagerank_matches(self, walk_graph):
-        acc = GraphDynS()
-        engine = run_vcpm(
-            walk_graph, ALGORITHMS["PR"], max_iterations=4, pr_tolerance=0.0
-        )
-        component = acc.run_component_level(
-            walk_graph, ALGORITHMS["PR"], max_iterations=4
-        )
-        assert np.allclose(component.properties, engine.properties)
-
-    def test_edges_processed_match(self, walk_graph):
-        acc = GraphDynS()
-        engine = run_vcpm(walk_graph, ALGORITHMS["SSSP"], source=0)
-        component = acc.run_component_level(
-            walk_graph, ALGORITHMS["SSSP"], source=0
-        )
-        assert component.edges_processed == engine.total_edges_processed
-
+class TestRun:
     def test_scheduling_ops_below_edge_count(self, walk_graph):
-        acc = GraphDynS()
-        component = acc.run_component_level(
-            walk_graph, ALGORITHMS["SSSP"], source=0
-        )
-        assert 0 < component.scheduling_ops < component.edges_processed
+        _, report = GraphDynS().run(walk_graph, ALGORITHMS["SSSP"], source=0)
+        assert 0 < report.scheduling_ops < report.edges_processed
 
     def test_max_iterations_respected(self, walk_graph):
-        acc = GraphDynS()
-        component = acc.run_component_level(
+        result, report = GraphDynS().run(
             walk_graph, ALGORITHMS["CC"], max_iterations=2
         )
-        assert component.num_iterations <= 2
+        assert result.num_iterations <= 2
+        assert report.iterations == result.num_iterations
 
     def test_empty_graph(self):
         from repro.graph import CSRGraph
 
-        acc = GraphDynS()
-        component = acc.run_component_level(
-            CSRGraph.empty(0), ALGORITHMS["CC"]
-        )
-        assert component.converged
-        assert component.properties.size == 0
+        result, _ = GraphDynS().run(CSRGraph.empty(0), ALGORITHMS["CC"])
+        assert result.converged
+        assert result.properties.size == 0

@@ -54,16 +54,19 @@ def _start_daemon(workdir, inject=()):
     for fault in inject:
         cmd += ["--inject", fault]
     env = dict(os.environ, PYTHONPATH=_SRC)
-    proc = subprocess.Popen(
-        cmd, env=env, cwd=workdir,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-    )
+    # The daemon's output goes to a file the child owns, so the test
+    # process holds no handle to it.
+    log = os.path.join(workdir, "daemon.log")
+    with open(log, "ab") as output:
+        proc = subprocess.Popen(
+            cmd, env=env, cwd=workdir,
+            stdout=output, stderr=subprocess.STDOUT,
+        )
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
         if proc.poll() is not None:
-            raise RuntimeError(
-                f"daemon exited early: {proc.stdout.read().decode()}"
-            )
+            with open(log) as handle:
+                raise RuntimeError(f"daemon exited early: {handle.read()}")
         if os.path.exists(announce):
             try:
                 with open(announce) as handle:

@@ -332,6 +332,58 @@ class TestBackpressure:
             daemon.stop(drain=False)
 
 
+class TestJournalFailure:
+    """A submission whose journal append fails gets a 503 and leaves no
+    job, no attachment and no admission count behind."""
+
+    def test_failed_append_leaves_no_job(self, tmp_path):
+        service = StubService()
+        # Journal append 1 is the first submit: every attempt fails.
+        daemon = make_daemon(
+            tmp_path, service=service, inject=("flaky-journal:1:99",)
+        )
+        try:
+            job, decision = daemon.submit({"algorithms": ["BFS"], "graphs": ["FR"]})
+            assert job is None
+            assert decision.status == 503
+            assert "journal unavailable" in decision.reason
+            assert daemon.stats.admitted == 0
+            assert daemon.jobs_dict() == []
+            assert daemon.stats_dict()["queue_depth"] == 0
+            # The next submission is admitted and runs normally.
+            job, decision = daemon.submit({"algorithms": ["BFS"], "graphs": ["FR"]})
+            assert decision.status == 202
+            assert daemon.stats.admitted == 1
+            assert [j["id"] for j in daemon.jobs_dict()] == [job.id]
+        finally:
+            service.release.set()
+            daemon.stop(drain=False)
+
+    def test_failed_append_of_duplicate_is_not_attached(self, tmp_path):
+        service = StubService()
+        # Appends 1 and 2 are the primary's submit and start; append 3,
+        # the duplicate's submit, fails every attempt.
+        daemon = make_daemon(
+            tmp_path, service=service, inject=("flaky-journal:3:99",)
+        )
+        try:
+            url = daemon.base_url
+            status, _, first = submit_job(url, ["BFS"], ["FR"])
+            assert status == 202
+            assert service.started.wait(timeout=10)
+            status, headers, body = submit_job(url, ["BFS"], ["FR"])
+            assert status == 503
+            assert "journal unavailable" in body["error"]
+            assert headers.get("Retry-After") is not None
+            assert daemon.stats.coalesced == 0
+            primary = daemon.get_job(first["job"]["id"])
+            assert primary.attached == []
+            assert [j["id"] for j in daemon.jobs_dict()] == [primary.id]
+        finally:
+            service.release.set()
+            daemon.stop(drain=False)
+
+
 # ----------------------------------------------------------------------
 # Lifecycle
 # ----------------------------------------------------------------------

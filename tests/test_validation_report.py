@@ -14,20 +14,10 @@ class TestValidateEngines:
         graph = power_law_graph(150, 700, seed=31, name="val")
         outcome = validate_engines(graph, algo)
         assert outcome.agreed, outcome.detail
-        assert outcome.engines_checked == 5
-
-    def test_without_component_level(self):
-        graph = power_law_graph(150, 700, seed=32, name="val")
-        outcome = validate_engines(
-            graph, "BFS", include_component_level=False
-        )
-        assert outcome.agreed
         assert outcome.engines_checked == 4
 
     def test_validate_all_battery(self):
-        outcomes = validate_all(
-            seeds=1, vertices=80, edges=300, include_component_level=False
-        )
+        outcomes = validate_all(seeds=1, vertices=80, edges=300)
         assert len(outcomes) == 10  # 2 graph families x 5 algorithms
         assert all(o.agreed for o in outcomes)
 
