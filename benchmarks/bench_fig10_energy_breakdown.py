@@ -10,8 +10,8 @@ from conftest import run_once
 from repro.harness import figure10
 
 
-def test_fig10_energy_breakdown(benchmark, suite):
-    result = run_once(benchmark, lambda: figure10(suite))
+def test_fig10_energy_breakdown(benchmark, service):
+    result = run_once(benchmark, lambda: figure10(service))
     print()
     print(result.render())
 

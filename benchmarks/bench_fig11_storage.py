@@ -10,8 +10,8 @@ from conftest import run_once
 from repro.harness import figure11
 
 
-def test_fig11_storage(benchmark, suite):
-    result = run_once(benchmark, lambda: figure11(suite))
+def test_fig11_storage(benchmark, service):
+    result = run_once(benchmark, lambda: figure11(service))
     print()
     print(result.render())
 

@@ -10,8 +10,8 @@ from conftest import run_once
 from repro.harness import figure12
 
 
-def test_fig12_mem_access(benchmark, suite):
-    result = run_once(benchmark, lambda: figure12(suite))
+def test_fig12_mem_access(benchmark, service):
+    result = run_once(benchmark, lambda: figure12(service))
     print()
     print(result.render())
 

@@ -11,8 +11,8 @@ from conftest import run_once
 from repro.harness import figure13
 
 
-def test_fig13_bandwidth(benchmark, suite):
-    result = run_once(benchmark, lambda: figure13(suite))
+def test_fig13_bandwidth(benchmark, service):
+    result = run_once(benchmark, lambda: figure13(service))
     print()
     print(result.render())
 

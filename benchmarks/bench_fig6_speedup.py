@@ -10,8 +10,8 @@ from conftest import run_once
 from repro.harness import figure6, geomean
 
 
-def test_fig6_speedup(benchmark, suite):
-    result = run_once(benchmark, lambda: figure6(suite))
+def test_fig6_speedup(benchmark, service):
+    result = run_once(benchmark, lambda: figure6(service))
     print()
     print(result.render())
 

@@ -11,8 +11,8 @@ from conftest import run_once
 from repro.harness import figure7, geomean
 
 
-def test_fig7_throughput(benchmark, suite):
-    result = run_once(benchmark, lambda: figure7(suite))
+def test_fig7_throughput(benchmark, service):
+    result = run_once(benchmark, lambda: figure7(service))
     print()
     print(result.render())
 

@@ -9,8 +9,8 @@ from conftest import run_once
 from repro.harness import figure9
 
 
-def test_fig9_energy(benchmark, suite):
-    result = run_once(benchmark, lambda: figure9(suite))
+def test_fig9_energy(benchmark, service):
+    result = run_once(benchmark, lambda: figure9(service))
     print()
     print(result.render())
 

@@ -1,9 +1,9 @@
 """Shared state for the benchmark harness.
 
-One :class:`~repro.harness.experiments.ExperimentSuite` is shared by every
+One :class:`~repro.harness.service.RunService` is shared by every
 benchmark in the session so the 5-algorithm x 6-graph matrix is executed
 once; individual benchmarks then regenerate their table/figure from the
-memoized cells.  The suite is additionally backed by one *persistent*
+memoized cells.  The service is additionally backed by one *persistent*
 run-service cache (``benchmarks/.run_cache`` by default, override with
 ``REPRO_BENCH_CACHE_DIR``), so a second benchmark invocation replays the
 matrix from disk instead of re-simulating it; ``REPRO_BENCH_JOBS``
@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.harness import ExperimentSuite
+from repro.harness import RunService
 
 _CACHE_DIR = os.environ.get(
     "REPRO_BENCH_CACHE_DIR",
@@ -26,13 +26,13 @@ _JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 @pytest.fixture(scope="session")
-def suite() -> ExperimentSuite:
-    shared = ExperimentSuite(cache_dir=_CACHE_DIR, jobs=_JOBS)
+def service() -> RunService:
+    shared = RunService(cache_dir=_CACHE_DIR, jobs=_JOBS)
     yield shared
-    stats = shared.service.stats
+    stats = shared.stats
     if stats.requests:
         print(
-            f"\n[run-service cache] dir={shared.service.cache_dir} "
+            f"\n[run-service cache] dir={shared.cache_dir} "
             f"hits={stats.hits} misses={stats.misses} "
             f"memory_hits={stats.memory_hits} stores={stats.stores} "
             f"hit_rate={stats.hit_rate:.0%}"

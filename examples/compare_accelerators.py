@@ -12,7 +12,7 @@ execution, and print speedup, throughput, traffic, and energy.
 import sys
 
 from repro.graph import datasets
-from repro.harness import render_table, run_cell
+from repro.harness import RunService, render_table
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
         f"E={spec_row.paper_edges/1e6:.1f}M)"
     )
 
-    cell = run_cell(graph, algorithm, graph_key)
+    cell = RunService().cell(algorithm, graph_key)
     gunrock = cell.reports["Gunrock"]
 
     rows = []

@@ -30,7 +30,7 @@ from ..energy.model import EnergyReport
 from ..graph.csr import CSRGraph
 from ..metrics.counters import RunReport
 from ..vcpm.engine import IterationObserver, VCPMResult, run_vcpm
-from ..vcpm.partitioned import ShardRunner, run_vcpm_partitioned
+from ..vcpm.partitioned import run_vcpm_partitioned
 from ..vcpm.spec import AlgorithmSpec
 
 __all__ = ["Backend", "BaseBackend", "config_digest"]
@@ -109,18 +109,15 @@ class BaseBackend:
         source: Optional[int] = 0,
         max_iterations: Optional[int] = None,
         shards: int = 1,
-        shard_runner: Optional["ShardRunner"] = None,
-        graph_ref: Optional[Tuple[str, str]] = None,
     ) -> Tuple[VCPMResult, RunReport]:
         """Standalone single-system run (the CLI ``run`` path).
 
-        ``shards > 1`` (or an explicit ``shard_runner``) routes through
-        the destination-sharded engine; the observer still sees the full
-        merged iteration stream, so reports are identical to the
-        unsharded path.
+        ``shards > 1`` routes through the destination-sharded engine; the
+        observer still sees the full merged iteration stream, so reports
+        are identical to the unsharded path.
         """
         observer = self.make_observer(graph, spec)
-        if shards > 1 or shard_runner is not None:
+        if shards > 1:
             result = run_vcpm_partitioned(
                 graph,
                 spec,
@@ -128,8 +125,6 @@ class BaseBackend:
                 source=source,
                 max_iterations=max_iterations,
                 observers=[observer],
-                shard_runner=shard_runner,
-                graph_ref=graph_ref,
             )
         else:
             result = run_vcpm(

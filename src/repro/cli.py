@@ -57,9 +57,9 @@ from typing import Callable, Dict, List, Optional
 from . import backends
 from .graph import datasets
 from .harness import figures, tables  # noqa: F401 - builder registry deps
-from .harness.experiments import ExperimentSuite
 from .harness.io import render_table
-from .harness.specs import OUTPUT_BUILDERS
+from .harness.service import RunService
+from .harness.specs import MATRIX_BUILDERS, OUTPUT_BUILDERS
 from .vcpm.algorithms import algorithm_names, get_algorithm
 
 __all__ = ["main", "build_parser", "DEFAULT_CACHE_DIR"]
@@ -75,9 +75,6 @@ DEFAULT_CACHE_DIR = os.environ.get(
 _FIGURES: Dict[str, Callable[[], "figures.FigureResult"]] = dict(
     OUTPUT_BUILDERS
 )
-
-#: Figures that consume the shared suite (worth pre-warming in parallel).
-_MATRIX_FIGURES = {"fig6", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Out-of-core / sharding knobs, shared by run, trace, and every
     # service-backed command.  Results are byte-identical across all
-    # storage x shards combinations; only residency and fan-out change.
+    # storage x shards combinations; only residency and speed change.
     sharding_flags = argparse.ArgumentParser(add_help=False)
     sharding_flags.add_argument(
         "--storage",
@@ -541,20 +538,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suite_from_args(args: argparse.Namespace) -> ExperimentSuite:
-    """An ExperimentSuite honouring the shared service flags."""
+def _service_from_args(args: argparse.Namespace, **kwargs) -> RunService:
+    """A RunService honouring the shared service flags (and ``kwargs``)."""
     cache_dir: Optional[str]
     if args.no_cache:
         cache_dir = None
     else:
         cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    return ExperimentSuite(
+    return RunService(
         cache_dir=cache_dir,
         use_cache=not args.no_cache,
         jobs=args.jobs,
         executor=args.executor,
         storage=args.storage,
         shards=args.shards,
+        **kwargs,
     )
 
 
@@ -699,8 +697,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    suite = _suite_from_args(args)
-    cell = suite.cell(args.algo, args.graph)
+    cell = _service_from_args(args).cell(args.algo, args.graph)
     names = list(cell.reports)
     baseline_name = "Gunrock" if "Gunrock" in cell.reports else names[0]
     if baseline_name in names:  # baseline row first
@@ -734,15 +731,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     names: List[str] = (
         sorted(_FIGURES) if "all" in args.names else args.names
     )
-    suite = _suite_from_args(args)
-    if args.jobs > 1 and any(n in _MATRIX_FIGURES for n in names):
-        suite.matrix()  # resolve all cells in parallel up front
+    service = _service_from_args(args)
+    if args.jobs > 1 and any(n in MATRIX_BUILDERS for n in names):
+        service.matrix()  # resolve all cells in parallel up front
     for name in names:
         fn = _FIGURES[name]
-        try:
-            result = fn(suite)  # type: ignore[call-arg]
-        except TypeError:
-            result = fn()
+        result = fn(service) if name in MATRIX_BUILDERS else fn()
         print(result.render())
         print()
     return 0
@@ -753,20 +747,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     from .harness.resilience import RetryPolicy
     from .harness.service import canonical_reports_json
 
-    cache_dir: Optional[str]
-    if args.no_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
     manifest_path = args.resume or args.checkpoint
-    suite = ExperimentSuite(
-        cache_dir=cache_dir,
-        use_cache=not args.no_cache,
-        jobs=args.jobs,
-        executor=args.executor,
-        storage=args.storage,
-        shards=args.shards,
-        resilience=RetryPolicy(
+    service = _service_from_args(
+        args,
+        policy=RetryPolicy(
             max_attempts=max(args.retries, 1),
             backoff_base=args.backoff,
             timeout=args.timeout,
@@ -779,7 +763,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
     recorder = TraceRecorder() if args.obs else NULL_RECORDER
     with use_recorder(recorder):
-        cells = suite.service.matrix(args.algorithms, args.graphs)
+        cells = service.matrix(args.algorithms, args.graphs)
     if args.obs:
         from .obs.export import write_chrome_trace
 
@@ -791,7 +775,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         with open(args.output, "w") as handle:
             handle.write(payload)
         print(f"wrote {args.output} ({len(cells)} cells)")
-    stats = suite.service.stats
+    stats = service.stats
     print(
         render_table(
             ["counter", "value"],
@@ -816,10 +800,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .harness.report import generate_experiments_md
 
-    suite = _suite_from_args(args)
+    service = _service_from_args(args)
     if args.jobs > 1:
-        suite.matrix()
-    content = generate_experiments_md(suite)
+        service.matrix()
+    content = generate_experiments_md(service)
     with open(args.output, "w") as handle:
         handle.write(content)
     print(f"wrote {args.output} ({len(content.splitlines())} lines)")

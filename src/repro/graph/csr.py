@@ -269,34 +269,6 @@ class CSRGraph:
             name=name or self.name,
         )
 
-    def with_random_integer_weights(
-        self, low: int = 0, high: int = 255, seed: int = 0
-    ) -> "CSRGraph":
-        """Assign uniform random integer weights in ``[low, high]``.
-
-        The paper assigns random integer weights between 0 and 255 to
-        unweighted real-world graphs (Section 6).
-        """
-        rng = np.random.default_rng(seed)
-        wts = rng.integers(low, high + 1, size=self.num_edges).astype(np.float32)
-        return self.with_weights(wts)
-
-    def subgraph_slice(self, vertex_lo: int, vertex_hi: int) -> "CSRGraph":
-        """Edges whose *destination* falls in ``[vertex_lo, vertex_hi)``.
-
-        Used by the slicing technique (Section 4.2.1): a slice keeps every
-        source vertex but only the edges that update the resident interval of
-        temporary vertex properties.
-        """
-        mask = (self.edges >= vertex_lo) & (self.edges < vertex_hi)
-        return CSRGraph.from_arrays(
-            self.num_vertices,
-            self.edge_sources()[mask],
-            self.edges[mask],
-            self.weights[mask],
-            name=f"{self.name}[{vertex_lo}:{vertex_hi})",
-        )
-
     # ------------------------------------------------------------------
     # Storage accounting (used by the Fig. 11 experiment)
     # ------------------------------------------------------------------

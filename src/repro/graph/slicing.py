@@ -85,22 +85,6 @@ class SlicePlan:
         idx = (vertex - self.origin) // self.vb_capacity_vertices
         return self.slices[idx]
 
-    def edges_per_slice(self, graph: CSRGraph) -> np.ndarray:
-        """Edge count landing in each slice (by destination).
-
-        Destinations outside the covered interval are clipped to the
-        nearest boundary slice (only relevant for shard-local plans fed
-        a whole graph).
-        """
-        counts = np.zeros(self.num_slices, dtype=np.int64)
-        slice_ids = np.clip(
-            (graph.edges - self.origin) // self.vb_capacity_vertices,
-            0,
-            self.num_slices - 1,
-        )
-        np.add.at(counts, slice_ids, 1)
-        return counts
-
 
 def plan_slices(
     num_vertices: int,

@@ -46,7 +46,7 @@ import shutil
 import tempfile
 import time
 import weakref
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -491,19 +491,3 @@ def assemble_csr(
     if storage is not None:
         return storage.adopt(graph)
     return graph
-
-
-def iter_edge_blocks(
-    graph: CSRGraph, block_edges: int = 1 << 20
-) -> Iterator[Tuple[int, int]]:
-    """Yield ``[edge_lo, edge_hi)`` index blocks of roughly equal size.
-
-    A convenience for streaming over a (possibly memory-mapped) edge
-    array without materializing derived per-edge temporaries all at
-    once.
-    """
-    if block_edges < 1:
-        raise ValueError("block_edges must be positive")
-    total = graph.num_edges
-    for lo in range(0, total, block_edges):
-        yield lo, min(lo + block_edges, total)

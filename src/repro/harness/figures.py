@@ -23,7 +23,7 @@ from ..graphdyns.timing import GraphDynSTimingModel
 from ..graphicionado.timing import GraphicionadoTimingModel
 from ..vcpm.algorithms import algorithm_names, get_algorithm
 from ..vcpm.engine import IterationData, run_vcpm
-from .experiments import REAL_WORLD_KEYS, ExperimentSuite
+from .service import REAL_WORLD_KEYS, RunService
 from .io import geomean, render_table
 
 __all__ = [
@@ -69,7 +69,7 @@ class FigureResult:
 # Traffic breakdown (supports the Fig. 12 discussion)
 # ----------------------------------------------------------------------
 def traffic_breakdown(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
     algorithm: str = "SSSP",
     graph_key: str = "LJ",
 ) -> FigureResult:
@@ -81,8 +81,8 @@ def traffic_breakdown(
     (selective updates); Gunrock's sector-granular gathers dominate its
     column.
     """
-    suite = suite or ExperimentSuite()
-    cell = suite.cell(algorithm, graph_key)
+    service = service or RunService()
+    cell = service.cell(algorithm, graph_key)
     from ..memory.request import Region
 
     rows: List[List[object]] = []
@@ -154,7 +154,7 @@ def figure2(
 # Figs. 6/7/9/11/12/13 -- matrix figures over (algorithm x graph)
 # ----------------------------------------------------------------------
 def _matrix_figure(
-    suite: ExperimentSuite,
+    service: RunService,
     figure: str,
     value_headers: Sequence[str],
     cell_values,
@@ -168,7 +168,7 @@ def _matrix_figure(
     series: Dict[str, List[float]] = {h: [] for h in value_headers}
     for algorithm in algorithms:
         for graph_key in graph_keys:
-            cell = suite.cell(algorithm, graph_key)
+            cell = service.cell(algorithm, graph_key)
             values = cell_values(cell)
             rows.append([algorithm, graph_key, *values])
             for header, value in zip(value_headers, values):
@@ -186,14 +186,14 @@ def _matrix_figure(
 
 
 def figure6(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
     algorithms: Optional[Sequence[str]] = None,
     graph_keys: Optional[Sequence[str]] = None,
 ) -> FigureResult:
     """Speedup over Gunrock (paper GM: Graphicionado ~2.3x, GraphDynS 4.4x)."""
-    suite = suite or ExperimentSuite()
+    service = service or RunService()
     return _matrix_figure(
-        suite,
+        service,
         "Fig. 6: speedup over Gunrock",
         ["Graphicionado", "GraphDynS"],
         lambda cell: [
@@ -206,14 +206,14 @@ def figure6(
 
 
 def figure7(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
     algorithms: Optional[Sequence[str]] = None,
     graph_keys: Optional[Sequence[str]] = None,
 ) -> FigureResult:
     """Throughput in GTEPS (paper GM: 8 / 21 / 43; peak 128)."""
-    suite = suite or ExperimentSuite()
+    service = service or RunService()
     return _matrix_figure(
-        suite,
+        service,
         "Fig. 7: throughput (GTEPS)",
         ["Gunrock", "Graphicionado", "GraphDynS"],
         lambda cell: [
@@ -251,14 +251,14 @@ def figure8() -> FigureResult:
 
 
 def figure9(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
     algorithms: Optional[Sequence[str]] = None,
     graph_keys: Optional[Sequence[str]] = None,
 ) -> FigureResult:
     """Energy normalized to Gunrock, in percent (paper GM: GraphDynS 8.6%)."""
-    suite = suite or ExperimentSuite()
+    service = service or RunService()
     return _matrix_figure(
-        suite,
+        service,
         "Fig. 9: energy normalized to Gunrock (%)",
         ["Graphicionado", "GraphDynS"],
         lambda cell: [
@@ -271,12 +271,12 @@ def figure9(
 
 
 def figure10(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
     algorithms: Optional[Sequence[str]] = None,
     graph_keys: Optional[Sequence[str]] = None,
 ) -> FigureResult:
     """GraphDynS energy breakdown (paper: ~92% HBM, Processor 4%, Updater 3%)."""
-    suite = suite or ExperimentSuite()
+    service = service or RunService()
     algorithms = list(algorithms or algorithm_names())
     graph_keys = list(graph_keys or REAL_WORLD_KEYS)
     components = ["Prefetcher", "Dispatcher", "Processor", "Updater", "HBM"]
@@ -284,7 +284,7 @@ def figure10(
     series: Dict[str, List[float]] = {c: [] for c in components}
     for algorithm in algorithms:
         for graph_key in graph_keys:
-            cell = suite.cell(algorithm, graph_key)
+            cell = service.cell(algorithm, graph_key)
             breakdown = cell.energy["GraphDynS"].breakdown()
             values = [100.0 * breakdown.get(c, 0.0) for c in components]
             rows.append([algorithm, graph_key, *values])
@@ -301,14 +301,14 @@ def figure10(
 
 
 def figure11(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
     algorithms: Optional[Sequence[str]] = None,
     graph_keys: Optional[Sequence[str]] = None,
 ) -> FigureResult:
     """Off-chip storage normalized to Gunrock (paper GM: 63% / 35%)."""
-    suite = suite or ExperimentSuite()
+    service = service or RunService()
     return _matrix_figure(
-        suite,
+        service,
         "Fig. 11: off-chip storage normalized to Gunrock (%)",
         ["Graphicionado", "GraphDynS"],
         lambda cell: [
@@ -325,14 +325,14 @@ def figure11(
 
 
 def figure12(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
     algorithms: Optional[Sequence[str]] = None,
     graph_keys: Optional[Sequence[str]] = None,
 ) -> FigureResult:
     """Memory accesses normalized to Gunrock (paper GM: 53% / 36%)."""
-    suite = suite or ExperimentSuite()
+    service = service or RunService()
     return _matrix_figure(
-        suite,
+        service,
         "Fig. 12: memory accesses normalized to Gunrock (%)",
         ["Graphicionado", "GraphDynS"],
         lambda cell: [
@@ -351,14 +351,14 @@ def figure12(
 
 
 def figure13(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
     algorithms: Optional[Sequence[str]] = None,
     graph_keys: Optional[Sequence[str]] = None,
 ) -> FigureResult:
     """Memory bandwidth utilization (paper GM: 31% / ~56% / 56%)."""
-    suite = suite or ExperimentSuite()
+    service = service or RunService()
     return _matrix_figure(
-        suite,
+        service,
         "Fig. 13: bandwidth utilization (%)",
         ["Gunrock", "Graphicionado", "GraphDynS"],
         lambda cell: [

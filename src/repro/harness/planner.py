@@ -37,7 +37,7 @@ Planning guarantees, each load-bearing for a test battery:
     ``RunService.matrix`` (inheriting thread/process fan-out, retries,
     and caching) and then collects every grid cell from the memo, so
     the spec path produces byte-identical ``canonical_reports_json`` to
-    the hand-coded ``run_matrix`` path — the equivalence the plan
+    the hand-coded ``RunService.matrix`` path — the equivalence the plan
     battery in ``tests/test_planner_identity.py`` asserts.
 """
 
@@ -313,7 +313,7 @@ def execute_plan(
     cells replay from the memo/persistent tiers during collection.
     Because cells are independent and deterministic, the returned list
     is byte-identical (under ``canonical_reports_json``) to running the
-    same grid through the hand-coded ``run_matrix`` path.
+    same grid through the hand-coded ``RunService.matrix`` path.
     """
     groups: "OrderedDict[Tuple[str, str], List[str]]" = OrderedDict()
     for cell in plan.schedule:
@@ -335,25 +335,21 @@ def build_outputs(
 ) -> "OrderedDict[str, object]":
     """The spec's named outputs, rendered from the *base* override.
 
-    Matrix-consuming builders read cells through an
-    :class:`~repro.harness.experiments.ExperimentSuite` facade bound to
-    the first override's (already executed) service; static builders
-    that take no suite are called bare, mirroring the CLI's dispatch.
+    Matrix builders read cells from the first override's (already
+    executed) service; the other builders take no argument, as in the
+    CLI's dispatch.
     """
-    from .experiments import ExperimentSuite
-    from .specs import OUTPUT_BUILDERS
+    from .specs import MATRIX_BUILDERS, OUTPUT_BUILDERS
 
     results: "OrderedDict[str, object]" = OrderedDict()
     if not spec.outputs:
         return results
-    first = next(iter(services))
-    suite = ExperimentSuite(use_cache=False)
-    suite.service = services[first]
+    service = next(iter(services.values()))
     for output in spec.outputs:
         builder = OUTPUT_BUILDERS[output.builder]
-        try:
-            results[output.name] = builder(suite)  # type: ignore[call-arg]
-        except TypeError:
+        if output.builder in MATRIX_BUILDERS:
+            results[output.name] = builder(service)
+        else:
             results[output.name] = builder()
     return results
 

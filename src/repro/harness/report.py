@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from .experiments import ExperimentSuite
+from .service import RunService
 from .figures import (
     FigureResult,
     figure2,
@@ -63,9 +63,9 @@ def _gm_row(result: FigureResult) -> List[object]:
     return result.rows[-1]
 
 
-def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentRecord]:
+def build_report(service: Optional[RunService] = None) -> List[ExperimentRecord]:
     """Run everything and produce the record list (slow: several minutes)."""
-    suite = suite or ExperimentSuite()
+    service = service or RunService()
     records: List[ExperimentRecord] = []
 
     records.append(
@@ -136,7 +136,7 @@ def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentReco
         )
     )
 
-    fig6 = figure6(suite)
+    fig6 = figure6(service)
     gm6 = _gm_row(fig6)
     records.append(
         ExperimentRecord(
@@ -150,7 +150,7 @@ def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentReco
         )
     )
 
-    fig7 = figure7(suite)
+    fig7 = figure7(service)
     gm7 = _gm_row(fig7)
     records.append(
         ExperimentRecord(
@@ -176,7 +176,7 @@ def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentReco
         )
     )
 
-    fig9 = figure9(suite)
+    fig9 = figure9(service)
     gm9 = _gm_row(fig9)
     records.append(
         ExperimentRecord(
@@ -191,7 +191,7 @@ def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentReco
         )
     )
 
-    fig10 = figure10(suite)
+    fig10 = figure10(service)
     mean10 = _gm_row(fig10)
     records.append(
         ExperimentRecord(
@@ -205,7 +205,7 @@ def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentReco
         )
     )
 
-    fig11 = figure11(suite)
+    fig11 = figure11(service)
     gm11 = _gm_row(fig11)
     records.append(
         ExperimentRecord(
@@ -218,7 +218,7 @@ def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentReco
         )
     )
 
-    fig12 = figure12(suite)
+    fig12 = figure12(service)
     gm12 = _gm_row(fig12)
     records.append(
         ExperimentRecord(
@@ -231,7 +231,7 @@ def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentReco
         )
     )
 
-    fig13 = figure13(suite)
+    fig13 = figure13(service)
     gm13 = _gm_row(fig13)
     records.append(
         ExperimentRecord(
@@ -329,10 +329,10 @@ def build_report(suite: Optional[ExperimentSuite] = None) -> List[ExperimentReco
 
 
 def generate_experiments_md(
-    suite: Optional[ExperimentSuite] = None,
+    service: Optional[RunService] = None,
 ) -> str:
     """The full EXPERIMENTS.md content."""
-    records = build_report(suite)
+    records = build_report(service)
     head = (
         "# EXPERIMENTS — paper vs measured\n\n"
         "Regenerated by `python -m repro report` (see also "

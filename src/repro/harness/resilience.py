@@ -184,8 +184,6 @@ class RunManifest:
         self.completed: Dict[Tuple[str, str], Optional[str]] = dict(
             completed or {}
         )
-        #: Per-cell shard indices recorded via :meth:`mark_shard`.
-        self.shard_completed: Dict[Tuple[str, str], set] = {}
 
     @staticmethod
     def _key(algorithm: str, graph_key: str) -> Tuple[str, str]:
@@ -228,7 +226,6 @@ class RunManifest:
                 f"{path} is not a schema-{MANIFEST_SCHEMA} matrix manifest"
             )
         completed: Dict[Tuple[str, str], Optional[str]] = {}
-        shard_completed: Dict[Tuple[str, str], set] = {}
         for line in lines[1:]:
             try:
                 entry = json.loads(line)
@@ -237,24 +234,11 @@ class RunManifest:
             try:
                 algorithm, graph_key = entry["cell"]
             except (KeyError, TypeError):
-                # Not a cell entry; maybe a per-shard breadcrumb (older
-                # readers skip these the same way — the schema is
-                # backwards compatible by construction).
-                try:
-                    algorithm, graph_key = entry["shard_of"]
-                    shard = int(entry["shard"])
-                except (KeyError, TypeError, ValueError):
-                    continue
-                shard_completed.setdefault(
-                    cls._key(algorithm, graph_key), set()
-                ).add(shard)
+                # Not a cell entry, e.g. a ``{"shard_of": ...}`` progress
+                # line that older versions appended; skipped.
                 continue
             completed[cls._key(algorithm, graph_key)] = entry.get("cache_key")
-        manifest = cls(
-            path, header["algorithms"], header["graph_keys"], completed
-        )
-        manifest.shard_completed = shard_completed
-        return manifest
+        return cls(path, header["algorithms"], header["graph_keys"], completed)
 
     def mark(
         self, algorithm: str, graph_key: str, cache_key: Optional[str] = None
@@ -267,33 +251,6 @@ class RunManifest:
         entry = {"cell": [key[0], key[1]], "cache_key": cache_key}
         locked_append_line(self.path, json.dumps(entry, sort_keys=True))
 
-    def mark_shard(
-        self, algorithm: str, graph_key: str, shard: int, shards: int
-    ) -> None:
-        """Record one completed shard of a cell's first iteration.
-
-        Progress breadcrumbs, not resume units: resume stays
-        cell-granular (results live in the persistent cache), but the
-        journal shows *which shards* of a long paper-scale cell had
-        finished when a sweep died.  Idempotent per (cell, shard); old
-        readers skip these lines (no ``"cell"`` key).
-        """
-        key = self._key(algorithm, graph_key)
-        done = self.shard_completed.setdefault(key, set())
-        if shard in done:
-            return
-        done.add(shard)
-        entry = {
-            "shard_of": [key[0], key[1]],
-            "shard": int(shard),
-            "shards": int(shards),
-        }
-        locked_append_line(self.path, json.dumps(entry, sort_keys=True))
-
-    def shard_progress(self, algorithm: str, graph_key: str) -> set:
-        """Shard indices recorded for one cell (empty when unsharded)."""
-        return set(self.shard_completed.get(self._key(algorithm, graph_key), ()))
-
     def is_completed(self, algorithm: str, graph_key: str) -> bool:
         return self._key(algorithm, graph_key) in self.completed
 
@@ -304,13 +261,3 @@ class RunManifest:
             (a, g) for a, g in pairs if self._key(a, g) not in self.completed
         ]
 
-
-def __getattr__(name: str):
-    # ``ResilientRunService`` stays importable from here for code written
-    # against that name; resolved lazily because the service module
-    # imports this one.
-    if name == "ResilientRunService":
-        from .service import RunService
-
-        return RunService
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

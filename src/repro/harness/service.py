@@ -12,8 +12,7 @@ the serving daemon):
 ``RunService``
     Executes requests with three reuse tiers:
 
-    1. an identity-stable in-process memo (what ``ExperimentSuite``
-       always had),
+    1. an identity-stable in-process memo,
     2. a content-addressed persistent JSON cache — the key hashes the
        request, the dataset fingerprint, the serializer schema version
        and the package version, so any change to configs, datasets, or
@@ -87,12 +86,7 @@ from ..graph.storage import STORAGE_KINDS
 from ..obs import get_recorder
 from ..vcpm.algorithms import algorithm_names, get_algorithm
 from ..vcpm.engine import IterationTrace, VCPMResult, run_vcpm
-from ..vcpm.partitioned import (
-    ShardRunner,
-    ShardScatterTask,
-    run_vcpm_partitioned,
-    scatter_shard_task,
-)
+from ..vcpm.partitioned import run_vcpm_partitioned
 from .faults import CellFaultPlan, FaultInjector
 from .resilience import (
     CellTimeoutError,
@@ -107,7 +101,6 @@ __all__ = [
     "CacheStoreWarning",
     "CellExecutionError",
     "CellResult",
-    "ResilientRunService",
     "RunRequest",
     "RunService",
     "canonical_reports_json",
@@ -121,6 +114,18 @@ REAL_WORLD_KEYS: Tuple[str, ...] = ("FR", "PK", "LJ", "HO", "IN", "OR")
 #: The policy of a service constructed without one: a single attempt,
 #: no deadline.
 _ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+
+#: The registry counter behind each :class:`CacheStats` field.
+_STAT_COUNTERS: Dict[str, str] = {
+    "hits": "service.cache_hits",
+    "misses": "service.misses",
+    "stores": "service.stores",
+    "memory_hits": "service.memory_hits",
+    "store_failures": "service.store_failures",
+    "retries": "resilience.retries",
+    "timeouts": "resilience.timeouts",
+    "degradations": "resilience.degradations",
+}
 
 #: Degradation order per requested executor.
 _TIER_ORDER: Dict[str, Tuple[str, ...]] = {
@@ -164,7 +169,7 @@ def default_backends(
 
 
 def _runs_in_parent(graph_key: str) -> bool:
-    """Whether a cell (and its shards) must run in this process.
+    """Whether a cell must run in this process.
 
     Dynamic graphs live only in this process's registry, so a worker
     process cannot load them; they run in the parent instead, which
@@ -187,7 +192,7 @@ def _cell_worker(
     deadline and the retries.  The graph is (re)built inside the worker
     from the dataset registry, which is deterministic, so the returned
     :class:`CellResult` is identical to an in-process execution.  Shards
-    run in-process: the matrix already owns the process pool.
+    run in the worker, as they do wherever a cell runs.
 
     Returns ``(cell, retries, timeouts)`` so the parent can account the
     recovery actions taken out of process.  A ``kill`` plan calls
@@ -199,38 +204,6 @@ def _cell_worker(
     return cell, service.stats.retries, service.stats.timeouts
 
 
-def _shard_scatter_in_subprocess(task: ShardScatterTask) -> np.ndarray:
-    """Worker entry point for per-shard Scatter fan-out.
-
-    Re-loads the (typically mmap-backed) graph from the task's
-    ``graph_ref`` through the worker's process-wide dataset memo — only
-    the active/property arrays and the shard's segment cross the process
-    boundary, never the CSR arrays.
-    """
-    if task.graph_ref is None:
-        raise ValueError("process shard fan-out requires a graph_ref")
-    graph_key, storage = task.graph_ref
-    graph = datasets.load(graph_key, storage=storage)
-    return scatter_shard_task(task, graph)
-
-
-class _ProcessShardRunner:
-    """Maps :class:`ShardScatterTask` batches onto a process pool.
-
-    One runner (and pool) lives for the duration of one cell execution,
-    amortizing worker start-up across all iterations of that cell.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self._pool = ProcessPoolExecutor(max_workers=max(1, workers))
-
-    def __call__(self, tasks: List[ShardScatterTask]) -> List[np.ndarray]:
-        return list(self._pool.map(_shard_scatter_in_subprocess, tasks))
-
-    def close(self) -> None:
-        self._pool.shutdown()
-
-
 def execute_cell(
     graph: CSRGraph,
     algorithm: str,
@@ -238,32 +211,27 @@ def execute_cell(
     source: int = 0,
     backends: Optional[Sequence[Backend]] = None,
     shards: int = 1,
-    shard_runner: Optional[ShardRunner] = None,
-    graph_ref: Optional[Tuple[str, str]] = None,
 ) -> CellResult:
     """Run all backends on one (graph, algorithm) pair.
 
     One functional run drives every backend's observer simultaneously
     (they are independent observers of the same data-dependent
     behaviour), which both guarantees a fair comparison and keeps the
-    whole matrix fast.  With ``shards > 1`` (or an explicit
-    ``shard_runner``) the functional run routes through the
-    destination-sharded engine; observers still see the full merged
-    iteration stream, so the resulting reports are byte-identical to the
-    unsharded path.
+    whole matrix fast.  With ``shards > 1`` the functional run routes
+    through the destination-sharded engine, shard after shard in this
+    process; observers still see the full merged iteration stream, so the
+    resulting reports are byte-identical to the unsharded path.
     """
     backends = list(backends) if backends is not None else default_backends()
     spec = get_algorithm(algorithm)
     observers = {b.name: b.make_observer(graph, spec) for b in backends}
-    if shards > 1 or shard_runner is not None:
+    if shards > 1:
         functional = run_vcpm_partitioned(
             graph,
             spec,
             shards=shards,
             source=source,
             observers=list(observers.values()),
-            shard_runner=shard_runner,
-            graph_ref=graph_ref,
         )
     else:
         functional = run_vcpm(
@@ -477,9 +445,9 @@ class RunService:
         storage: graph storage backend for cell execution — ``"memory"``
             (default) or ``"mmap"`` (out-of-core spills, required for the
             paper-scale ``*-FULL`` datasets under a memory budget).
-        shards: destination-shard count for the functional run; with
-            ``executor="process"`` shards of a parent-side cell fan out
-            across a process pool.  Results are byte-identical for every
+        shards: destination-shard count for the functional run; the
+            shards of a cell run one after another in the process that
+            runs the cell.  Results are byte-identical for every
             storage × shards combination.
         policy: the :class:`RetryPolicy` (attempts, backoff, per-attempt
             deadline) of every cell and cache store; ``None`` means one
@@ -681,11 +649,9 @@ class RunService:
         try:
             self._write_envelope(path, envelope)
         except OSError as exc:
-            with self._lock:
-                self.stats.store_failures += 1
+            self._count("store_failures")
             rec = get_recorder()
             if rec.enabled:
-                rec.counter("service.store_failures").add()
                 rec.event(
                     "service.store_failure",
                     track="service",
@@ -700,9 +666,7 @@ class RunService:
                 stacklevel=2,
             )
         else:
-            with self._lock:
-                self.stats.stores += 1
-            get_recorder().counter("service.stores").add()
+            self._count("stores")
 
     def _write_envelope(self, path: str, envelope: Dict[str, object]) -> None:
         """Atomically write one cache envelope; raises ``OSError``.
@@ -725,8 +689,7 @@ class RunService:
             except OSError:
                 if attempt >= self.policy.max_attempts:
                     raise
-                with self._lock:
-                    self.stats.retries += 1
+                self._count("retries")
                 self._sleep(self.policy.delay(attempt, path))
 
     # ------------------------------------------------------------------
@@ -762,18 +725,16 @@ class RunService:
         key = self._memo_key(algorithm, graph_key)
         with self._lock:
             cached = self._cells.get(key)
-            if cached is not None:
-                self.stats.memory_hits += 1
         if cached is not None:
-            rec.counter("service.memory_hits").add()
+            self._count("memory_hits")
             return key, None, None, cached
         request = self.request_for(algorithm, graph_key)
         path = self._cache_path(request) if self.persistent else None
         if path is not None:
             cell = self._load_cached(path, request)
             if cell is not None:
+                self._count("hits")
                 if rec.enabled:
-                    rec.counter("service.cache_hits").add()
                     rec.event(
                         "service.cache_hit",
                         track="service",
@@ -781,7 +742,6 @@ class RunService:
                         graph=graph_key,
                     )
                 with self._lock:
-                    self.stats.hits += 1
                     return key, request, path, self._cells.setdefault(key, cell)
         return key, request, path, None
 
@@ -793,20 +753,30 @@ class RunService:
         cell: CellResult,
     ) -> CellResult:
         """Count, persist and memoize one executed miss."""
-        get_recorder().counter("service.misses").add()
+        self._count("misses")
         if path is not None:
             self._store_cached(path, request, cell)
         with self._lock:
-            self.stats.misses += 1
             return self._cells.setdefault(key, cell)
 
-    def _note(self, stat: str, event: str, **fields: object) -> None:
-        """Count one recovery action in ``stats`` and the recorder."""
+    def _count(self, stat: str, amount: int = 1) -> None:
+        """Bump ``stats.<stat>`` and its registry counter together.
+
+        The only writer of :attr:`stats`, so the :class:`CacheStats`
+        fields and the ``service.*`` / ``resilience.*`` counters cannot
+        disagree.
+        """
+        if amount <= 0:
+            return
         with self._lock:
-            setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+            setattr(self.stats, stat, getattr(self.stats, stat) + amount)
+        get_recorder().counter(_STAT_COUNTERS[stat]).add(amount)
+
+    def _note(self, stat: str, event: str, **fields: object) -> None:
+        """Count one recovery action and emit its event."""
+        self._count(stat)
         rec = get_recorder()
         if rec.enabled:
-            rec.counter(f"resilience.{stat}").add()
             rec.event(f"resilience.{event}", track="service", **fields)
 
     def _run_cell(self, request: RunRequest) -> CellResult:
@@ -876,65 +846,14 @@ class RunService:
                 request.algorithm, request.graph_key, attempt
             )
         graph = datasets.load(request.graph_key, storage=request.storage)
-        runner, graph_ref, cleanup = self._shard_runner_for(request, graph)
-        try:
-            return execute_cell(
-                graph,
-                request.algorithm,
-                graph_key=request.graph_key,
-                source=request.source,
-                backends=self.backends,
-                shards=request.shards,
-                shard_runner=runner,
-                graph_ref=graph_ref,
-            )
-        finally:
-            if cleanup is not None:
-                cleanup()
-
-    def _shard_runner_for(
-        self, request: RunRequest, graph: CSRGraph
-    ) -> Tuple[Optional[ShardRunner], Optional[Tuple[str, str]], Optional[
-        Callable[[], None]
-    ]]:
-        """(runner, graph_ref, cleanup) for one cell's shard fan-out.
-
-        Process fan-out only engages for parent-side cells under
-        ``executor="process"``; otherwise shards run in-process (same
-        reduction structure, same bytes).  With an open manifest the
-        runner journals per-shard breadcrumbs: the first completion of
-        each shard index is appended, so a killed paper-scale sweep
-        shows how far each cell's shard fan-out progressed.
-        """
-        runner: Optional[ShardRunner] = None
-        graph_ref = cleanup = None
-        if (
-            request.shards > 1
-            and self.executor == "process"
-            and not _runs_in_parent(request.graph_key)
-        ):
-            pool = _ProcessShardRunner(min(self.jobs, request.shards))
-            runner, cleanup = pool, pool.close
-            graph_ref = (request.graph_key, request.storage)
-        manifest = self._manifest
-        if manifest is None or request.shards <= 1:
-            return runner, graph_ref, cleanup
-        base = runner or (
-            lambda tasks: [scatter_shard_task(t, graph) for t in tasks]
+        return execute_cell(
+            graph,
+            request.algorithm,
+            graph_key=request.graph_key,
+            source=request.source,
+            backends=self.backends,
+            shards=request.shards,
         )
-
-        def marking_runner(tasks):
-            segments = base(tasks)
-            for task in tasks:
-                manifest.mark_shard(
-                    request.algorithm,
-                    request.graph_key,
-                    task.shard_index,
-                    request.shards,
-                )
-            return segments
-
-        return marking_runner, graph_ref, cleanup
 
     # ------------------------------------------------------------------
     # Execution: the matrix (executor tiers + checkpointing)
@@ -993,10 +912,6 @@ class RunService:
         keys = [self._memo_key(a, g) for a, g in pairs]
         with self._lock:
             return [self._cells[key] for key in keys]
-
-    #: The hand-coded matrix path under the name the planner-equivalence
-    #: battery compares against (``spec path == run_matrix path``).
-    run_matrix = matrix
 
     def _open_manifest(
         self,
@@ -1127,16 +1042,10 @@ class RunService:
                     raise CellExecutionError(
                         algorithm, graph_key, detail=repr(exc)
                     ) from exc
-                with self._lock:
-                    self.stats.retries += retries
-                    self.stats.timeouts += timeouts
+                self._count("retries", retries)
+                self._count("timeouts", timeouts)
                 self._keep(key, request, path, cell)
                 self._mark(manifest, algorithm, graph_key)
         finally:
             # wait=False: a dead worker must not block shutdown.
             pool.shutdown(wait=False, cancel_futures=True)
-
-
-#: Kept so code written against the resilient subclass's name (which
-#: took the same arguments) runs unchanged.
-ResilientRunService = RunService

@@ -76,6 +76,7 @@ __all__ = [
     "GridCell",
     "OutputSpec",
     "OverrideSpec",
+    "MATRIX_BUILDERS",
     "OUTPUT_BUILDERS",
     "SELECTABLE_FIELDS",
     "SpecError",
@@ -657,7 +658,7 @@ class ExperimentSpec:
 
         Canonical order is override-major, then algorithm-major with
         graphs minor — exactly the cell order of
-        :meth:`repro.harness.service.RunService.run_matrix`, which is
+        :meth:`repro.harness.service.RunService.matrix`, which is
         what makes spec-driven reports byte-comparable to the hand-coded
         path.
         """
@@ -748,6 +749,13 @@ class _Builders(Mapping):
 
 #: Named table/figure builders a spec ``outputs`` clause may reference.
 OUTPUT_BUILDERS: Mapping = _Builders()
+
+#: The builders that read the evaluation matrix; they take the
+#: :class:`~repro.harness.service.RunService` to read it through.  Every
+#: other builder takes no argument.
+MATRIX_BUILDERS = frozenset(
+    {"fig6", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13"}
+)
 
 
 class _Context:

@@ -35,12 +35,7 @@ from .optimized import (
     dispatch_scatter,
     run_optimized,
 )
-from .partitioned import (
-    ShardRunner,
-    ShardScatterTask,
-    run_vcpm_partitioned,
-    scatter_shard_task,
-)
+from .partitioned import run_vcpm_partitioned
 from .pull import run_vcpm_pull
 from .sliced import run_vcpm_sliced
 from .extensions import (
@@ -84,10 +79,7 @@ __all__ = [
     "run_optimized",
     "run_vcpm_pull",
     "run_vcpm_sliced",
-    "ShardRunner",
-    "ShardScatterTask",
     "run_vcpm_partitioned",
-    "scatter_shard_task",
     "SPMV",
     "DEGREE_COUNT",
     "MAX_INCOMING",

@@ -14,16 +14,13 @@ produces — bitwise-identical temporary properties (including non-associative
 float accumulation for PR), hence bitwise-identical Apply outputs, frontiers,
 and traces.
 
-Process fan-out plugs in through the ``shard_runner`` seam: the harness
-service maps picklable :class:`ShardScatterTask` descriptors onto its process
-executor, where each worker re-reads the graph (per Graphicionado's slicing,
-which re-reads active vertex data per slice) and returns its segment.
+Shards run one after another in the calling process, as the Vertex-Buffer
+slices of Section 4.2.1 do on one chip.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +30,6 @@ from ..graph.slicing import (
     Shard,
     SlicePlan,
     plan_partitions,
-    plan_slices,
 )
 from ..obs import get_recorder
 from .engine import (
@@ -46,55 +42,7 @@ from .engine import (
 )
 from .spec import AlgorithmSpec
 
-__all__ = [
-    "ShardScatterTask",
-    "ShardRunner",
-    "run_vcpm_partitioned",
-    "scatter_shard_task",
-]
-
-
-@dataclasses.dataclass
-class ShardScatterTask:
-    """Self-contained, picklable description of one shard's Scatter pass.
-
-    Carries everything a worker process needs *except* the graph itself,
-    which is referenced by ``graph_ref`` (dataset key + storage kind) and
-    re-loaded worker-side through the process-wide dataset memo — shipping
-    paper-scale CSR arrays through pickle would defeat out-of-core
-    execution.
-
-    Attributes:
-        iteration: zero-based iteration index (for spans/debugging).
-        shard_index: index of the shard within its plan.
-        vertex_lo / vertex_hi: the shard's destination interval.
-        algorithm: algorithm spec name (resolved via ``get_algorithm``).
-        graph_ref: ``(dataset_key, storage_kind)`` for worker-side reload,
-            or ``None`` when the runner executes in-process.
-        active: active vertex ids this iteration.
-        prop: full property array (read-only input to Scatter).
-        t_prop_segment: copy of the shard's temporary-property segment;
-            the reduction folds into this and returns it.
-        vb_capacity_bytes: optional Vertex Buffer capacity for shard-local
-            slicing; ``None`` disables VB slicing.
-        tprop_bytes: bytes per temporary property entry.
-    """
-
-    iteration: int
-    shard_index: int
-    vertex_lo: int
-    vertex_hi: int
-    algorithm: str
-    graph_ref: Optional[Tuple[str, str]]
-    active: np.ndarray
-    prop: np.ndarray
-    t_prop_segment: np.ndarray
-    vb_capacity_bytes: Optional[int] = None
-    tprop_bytes: int = 4
-
-
-#: Maps shard tasks to their reduced segments, in task order.
-ShardRunner = Callable[[List[ShardScatterTask]], List[np.ndarray]]
+__all__ = ["run_vcpm_partitioned"]
 
 
 def _scatter_segment(
@@ -135,39 +83,6 @@ def _scatter_segment(
     return segment
 
 
-def scatter_shard_task(task: ShardScatterTask, graph: CSRGraph) -> np.ndarray:
-    """Execute one :class:`ShardScatterTask` against ``graph``.
-
-    The worker-side entry point: re-gathers the active edge stream from
-    the (typically mmap-backed) graph and reduces the shard's edges into
-    the task's segment copy.  Pure — no shared mutable state.
-    """
-    from .algorithms import get_algorithm
-
-    spec = get_algorithm(task.algorithm)
-    shard = Shard(
-        index=task.shard_index,
-        vertex_lo=task.vertex_lo,
-        vertex_hi=task.vertex_hi,
-    )
-    edge_idx = gather_edge_indices(graph.offsets, task.active)
-    edge_dst = graph.edges[edge_idx]
-    edge_w = graph.weights[edge_idx].astype(np.float64)
-    degrees = graph.offsets[task.active + 1] - graph.offsets[task.active]
-    u_prop = np.repeat(task.prop[task.active], degrees)
-    vb_plan: Optional[SlicePlan] = None
-    if task.vb_capacity_bytes is not None:
-        vb_plan = plan_slices(
-            shard.num_vertices,
-            task.vb_capacity_bytes,
-            tprop_bytes=task.tprop_bytes,
-            origin=shard.vertex_lo,
-        )
-    return _scatter_segment(
-        spec, shard, vb_plan, edge_dst, edge_w, u_prop, task.t_prop_segment
-    )
-
-
 def run_vcpm_partitioned(
     graph: CSRGraph,
     spec: AlgorithmSpec,
@@ -178,8 +93,6 @@ def run_vcpm_partitioned(
     observers: Sequence[IterationObserver] = (),
     pr_tolerance: float = 1e-7,
     tprop_bytes: int = 4,
-    shard_runner: Optional[ShardRunner] = None,
-    graph_ref: Optional[Tuple[str, str]] = None,
 ) -> VCPMResult:
     """Execute ``spec`` with destination-sharded Scatter and merged Apply.
 
@@ -197,12 +110,6 @@ def run_vcpm_partitioned(
         source / max_iterations / observers / pr_tolerance: as in
             :func:`repro.vcpm.engine.run_vcpm`.
         tprop_bytes: bytes per temporary property entry (slice width).
-        shard_runner: optional executor seam mapping
-            :class:`ShardScatterTask` lists to reduced segments (e.g. the
-            harness's process fan-out); ``None`` runs shards in-process.
-        graph_ref: ``(dataset_key, storage_kind)`` stamped on tasks so
-            worker processes can re-load the graph; required when
-            ``shard_runner`` crosses a process boundary.
     """
     num_vertices = graph.num_vertices
     if max_iterations is None:
@@ -266,50 +173,25 @@ def run_vcpm_partitioned(
                 u_prop = np.repeat(prop[active], degrees)
                 t_prop_before = t_prop.copy()
 
-                if shard_runner is None:
-                    for shard, vb_plan in zip(plan, vb_plans):
-                        with rec.span(
-                            "vcpm.shard_scatter",
-                            track="vcpm",
-                            shard=shard.index,
-                            iteration=iteration,
-                        ):
-                            segment = _scatter_segment(
-                                spec,
-                                shard,
-                                vb_plan,
-                                edge_dst,
-                                edge_w,
-                                u_prop,
-                                t_prop[shard.vertex_lo:shard.vertex_hi].copy(),
-                            )
-                            t_prop[shard.vertex_lo:shard.vertex_hi] = segment
-                        if rec.enabled:
-                            rec.counter("vcpm.shard.scatters").add()
-                else:
-                    tasks = [
-                        ShardScatterTask(
-                            iteration=iteration,
-                            shard_index=shard.index,
-                            vertex_lo=shard.vertex_lo,
-                            vertex_hi=shard.vertex_hi,
-                            algorithm=spec.name,
-                            graph_ref=graph_ref,
-                            active=active,
-                            prop=prop,
-                            t_prop_segment=t_prop[
-                                shard.vertex_lo:shard.vertex_hi
-                            ].copy(),
-                            vb_capacity_bytes=vb_capacity_bytes,
-                            tprop_bytes=tprop_bytes,
+                for shard, vb_plan in zip(plan, vb_plans):
+                    with rec.span(
+                        "vcpm.shard_scatter",
+                        track="vcpm",
+                        shard=shard.index,
+                        iteration=iteration,
+                    ):
+                        segment = _scatter_segment(
+                            spec,
+                            shard,
+                            vb_plan,
+                            edge_dst,
+                            edge_w,
+                            u_prop,
+                            t_prop[shard.vertex_lo:shard.vertex_hi].copy(),
                         )
-                        for shard in plan
-                    ]
-                    segments = shard_runner(tasks)
-                    for shard, segment in zip(plan, segments):
                         t_prop[shard.vertex_lo:shard.vertex_hi] = segment
                     if rec.enabled:
-                        rec.counter("vcpm.shard.scatters").add(len(tasks))
+                        rec.counter("vcpm.shard.scatters").add()
                 modified = np.flatnonzero(t_prop != t_prop_before)
 
             # --------------------- merged Apply phase ------------------------

@@ -30,8 +30,6 @@ from repro.graphdyns.config import DEFAULT_CONFIG
 from repro.harness import (
     CacheStoreWarning,
     CellExecutionError,
-    ExperimentSuite,
-    ResilientRunService,
     RunService,
     default_backends,
 )
@@ -215,14 +213,13 @@ class TestPersistentCache:
         assert not (home / ".cache").exists()
 
 
-    @pytest.mark.parametrize("service_cls", [RunService, ResilientRunService])
-    def test_envelope_bytes_match_json_dump(self, tmp_path, service_cls):
+    def test_envelope_bytes_match_json_dump(self, tmp_path):
         """The stored bytes are what ``json.dump`` of the envelope writes.
 
         ``json.dump`` into a stream was the original cache encoder; pin the
         on-disk format to it so the encoder cannot drift.
         """
-        service = service_cls(cache_dir=str(tmp_path / "cache"))
+        service = RunService(cache_dir=str(tmp_path / "cache"))
         service.cell("BFS", "FR")
         path = service._cache_path(service.request_for("BFS", "FR"))
         with open(path) as handle:
@@ -248,14 +245,6 @@ class TestParallelMatrix:
             ("BFS", "FR"),
             ("CC", "FR"),
         ]
-
-    def test_suite_facade_exposes_service(self):
-        suite = ExperimentSuite(jobs=2)
-        assert suite.service.jobs == 2
-        a = suite.cell("BFS", "FR")
-        b = suite.cell("bfs", "FR")
-        assert a is b
-        assert suite.service.stats.memory_hits == 1
 
 
 class TestProcessExecutor:

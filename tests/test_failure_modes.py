@@ -17,7 +17,6 @@ from repro.harness import (
     FaultInjector,
     FaultSpec,
     ResilienceWarning,
-    ResilientRunService,
     RetryPolicy,
     RunManifest,
     RunService,
@@ -177,7 +176,7 @@ class TestInjectedCrashes:
     def test_crash_retries_to_byte_identical_reports(
         self, clean_reports_json, jobs, executor
     ):
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             jobs=jobs,
             executor=executor,
@@ -191,7 +190,7 @@ class TestInjectedCrashes:
         assert service.faults.fired >= 1
 
     def test_crash_on_second_cell_too(self, clean_reports_json):
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             policy=_FAST,
             faults=FaultInjector(["crash:2:2"]),  # 2 failing attempts
@@ -202,7 +201,7 @@ class TestInjectedCrashes:
         assert service.stats.retries == 2
 
     def test_exhausted_retries_name_the_cell(self):
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
             faults=FaultInjector(["crash:2:99"]),  # effectively permanent
@@ -215,7 +214,7 @@ class TestInjectedCrashes:
         assert excinfo.value.attempts == 2
 
     def test_non_transient_errors_are_not_retried(self):
-        class Broken(ResilientRunService):
+        class Broken(RunService):
             def _attempt_body(self, request, attempt):
                 raise TypeError("programming error, not a fault")
 
@@ -228,7 +227,7 @@ class TestInjectedCrashes:
 class TestHangsAndTimeouts:
     def test_hang_is_abandoned_and_retried(self, clean_reports_json):
         # Hang far above the deadline, deadline far above real cell cost.
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             policy=RetryPolicy(
                 max_attempts=3, backoff_base=0.0, timeout=1.5
@@ -242,7 +241,7 @@ class TestHangsAndTimeouts:
         assert service.stats.retries >= 1
 
     def test_process_hang_falls_back_to_parent(self, clean_reports_json):
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             jobs=2,
             executor="process",
@@ -257,7 +256,7 @@ class TestHangsAndTimeouts:
         assert service.stats.timeouts >= 1
 
     def test_timeout_without_faults_is_inert(self, clean_reports_json):
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             policy=RetryPolicy(max_attempts=3, timeout=60.0),
             sleep=_no_sleep,
@@ -270,7 +269,7 @@ class TestHangsAndTimeouts:
 
 class TestWorkerDeath:
     def test_dead_worker_degrades_executor_tier(self, clean_reports_json):
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             jobs=2,
             executor="process",
@@ -289,7 +288,7 @@ class TestStoreFaults:
         self, tmp_path, clean_reports_json
     ):
         cache = str(tmp_path / "cache")
-        service = ResilientRunService(
+        service = RunService(
             cache_dir=cache,
             policy=_FAST,
             faults=FaultInjector(["flaky-store:1:1"]),
@@ -312,7 +311,7 @@ class TestStoreFaults:
         self, tmp_path, clean_reports_json
     ):
         cache = str(tmp_path / "cache")
-        service = ResilientRunService(
+        service = RunService(
             cache_dir=cache,
             policy=_FAST,
             faults=FaultInjector(["corrupt-cache:1"]),
@@ -410,7 +409,7 @@ class TestCheckpointResume:
         manifest = str(tmp_path / "sweep.jsonl")
         # A permanent crash on cell 2 with a tight retry budget
         # simulates killing the sweep mid-flight.
-        killed = ResilientRunService(
+        killed = RunService(
             cache_dir=cache,
             policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
             faults=FaultInjector(["crash:2:99"]),
@@ -425,7 +424,7 @@ class TestCheckpointResume:
             ("CC", "FR")
         ]
 
-        resumed = ResilientRunService(
+        resumed = RunService(
             cache_dir=cache,
             policy=_FAST,
             manifest_path=manifest,

@@ -174,29 +174,6 @@ class TestTransformations:
         assert np.all(new.weights == 0)
         assert np.array_equal(new.edges, tiny_graph.edges)
 
-    def test_with_random_integer_weights_range(self, small_powerlaw):
-        g = small_powerlaw.with_random_integer_weights(0, 255, seed=3)
-        assert g.weights.min() >= 0
-        assert g.weights.max() <= 255
-        assert np.all(g.weights == np.floor(g.weights))
-
-    def test_with_random_integer_weights_deterministic(self, small_powerlaw):
-        a = small_powerlaw.with_random_integer_weights(seed=5)
-        b = small_powerlaw.with_random_integer_weights(seed=5)
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_subgraph_slice_keeps_only_destination_interval(self, tiny_graph):
-        sliced = tiny_graph.subgraph_slice(3, 5)
-        assert sliced.num_vertices == tiny_graph.num_vertices
-        for _, dst, _ in sliced.iter_edges():
-            assert 3 <= dst < 5
-
-    def test_subgraph_slices_partition_edges(self, tiny_graph):
-        total = sum(
-            tiny_graph.subgraph_slice(lo, lo + 3).num_edges
-            for lo in range(0, 9, 3)
-        )
-        assert total == tiny_graph.num_edges
 
 
 class TestStorage:

@@ -55,20 +55,6 @@ class TestPlanSlices:
         assert plan.slices[0].num_vertices == 0
 
 
-class TestEdgesPerSlice:
-    def test_partition_sums_to_total(self, tiny_graph):
-        plan = plan_slices(tiny_graph.num_vertices, 12)  # 3 vertices/slice
-        per_slice = plan.edges_per_slice(tiny_graph)
-        assert per_slice.sum() == tiny_graph.num_edges
-
-    def test_matches_subgraph_slice(self, tiny_graph):
-        plan = plan_slices(tiny_graph.num_vertices, 12)
-        per_slice = plan.edges_per_slice(tiny_graph)
-        for s in plan:
-            sub = tiny_graph.subgraph_slice(s.vertex_lo, s.vertex_hi)
-            assert per_slice[s.index] == sub.num_edges
-
-
 class TestPlanSlicesEdgeCases:
     def test_capacity_below_one_property_clamps_to_one_vertex(self):
         # VB capacity smaller than a single temporary property (S3):

@@ -25,7 +25,6 @@ from repro.graph.storage import (
     STORAGE_FORMAT_VERSION,
     SPILL_DIR_ENV,
     gc_stale_spills,
-    iter_edge_blocks,
     spill_dir_root,
     spill_owner_pid,
 )
@@ -346,19 +345,6 @@ class TestAssembleCSR:
             )
             assert isinstance(graph, CSRGraph)
             assert graph.num_edges == tiny_graph.num_edges
-
-
-class TestIterEdgeBlocks:
-    def test_blocks_tile_edge_space(self, small_powerlaw):
-        blocks = list(iter_edge_blocks(small_powerlaw, block_edges=97))
-        assert blocks[0][0] == 0
-        assert blocks[-1][1] == small_powerlaw.num_edges
-        for (_, hi), (lo, _) in zip(blocks, blocks[1:]):
-            assert hi == lo
-
-    def test_rejects_nonpositive_block(self, tiny_graph):
-        with pytest.raises(ValueError):
-            list(iter_edge_blocks(tiny_graph, block_edges=0))
 
 
 class TestDatasetStorageKnob:

@@ -1,4 +1,4 @@
-"""Harness tests: rendering, suite memoization, figure regenerators.
+"""Harness tests: rendering, run-service memoization, figure regenerators.
 
 Figure functions are exercised on the smallest proxies (FR) or with reduced
 algorithm subsets so the suite stays fast; the full-matrix runs live in the
@@ -9,7 +9,8 @@ benchmark harness.
 import pytest
 
 from repro.harness import (
-    ExperimentSuite,
+    RunService,
+    execute_cell,
     figure2,
     figure8,
     figure14a,
@@ -17,7 +18,6 @@ from repro.harness import (
     figure14e,
     geomean,
     render_table,
-    run_cell,
     table1,
     table2,
     table3,
@@ -115,14 +115,14 @@ class TestDynamicFigures:
 
 class TestSuite:
     def test_cell_memoized(self):
-        suite = ExperimentSuite()
-        a = suite.cell("BFS", "FR")
-        b = suite.cell("bfs", "FR")
+        service = RunService()
+        a = service.cell("BFS", "FR")
+        b = service.cell("bfs", "FR")
         assert a is b
 
     def test_cell_contains_all_systems(self):
-        suite = ExperimentSuite()
-        cell = suite.cell("BFS", "FR")
+        service = RunService()
+        cell = service.cell("BFS", "FR")
         assert set(cell.reports) == {
             "GraphDynS",
             "Graphicionado",
@@ -132,17 +132,17 @@ class TestSuite:
         assert set(cell.energy) == set(cell.reports)
 
     def test_speedup_over_gunrock_self_is_one(self):
-        suite = ExperimentSuite()
-        cell = suite.cell("BFS", "FR")
+        service = RunService()
+        cell = service.cell("BFS", "FR")
         assert cell.speedup_over_gunrock("Gunrock") == pytest.approx(1.0)
 
     def test_run_cell_standalone(self):
         graph = datasets.load("FR")
-        cell = run_cell(graph, "CC", "FR")
+        cell = execute_cell(graph, "CC", "FR")
         assert cell.algorithm == "CC"
         assert cell.reports["GraphDynS"].edges_processed > 0
 
     def test_matrix_shape(self):
-        suite = ExperimentSuite()
-        cells = suite.matrix(algorithms=["BFS"], graph_keys=["FR"])
+        service = RunService()
+        cells = service.matrix(algorithms=["BFS"], graph_keys=["FR"])
         assert len(cells) == 1

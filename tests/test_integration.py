@@ -8,7 +8,7 @@ relationships the paper reports, not absolute numbers.
 import pytest
 
 from repro.graph import datasets
-from repro.harness import run_cell
+from repro.harness import execute_cell
 from repro.memory import Region
 
 
@@ -16,7 +16,7 @@ from repro.memory import Region
 def fr_cells():
     graph = datasets.load("FR")
     return {
-        algo: run_cell(graph, algo, "FR")
+        algo: execute_cell(graph, algo, "FR")
         for algo in ("BFS", "SSSP", "CC", "SSWP", "PR")
     }
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.graph import datasets
+from repro.harness.faults import FaultInjector
+from repro.harness.resilience import RetryPolicy
 from repro.harness.service import RunService, execute_cell
 from repro.obs import (
     NULL_RECORDER,
@@ -253,3 +255,48 @@ class TestServiceInstrumentation:
         snap = rec.instruments.snapshot()
         assert snap["service.cache_hits"]["value"] == 1.0
         assert any(e.name == "service.cache_hit" for e in rec.events)
+
+    #: The registry counter of each ``CacheStats`` field.
+    STAT_COUNTERS = {
+        "hits": "service.cache_hits",
+        "misses": "service.misses",
+        "stores": "service.stores",
+        "memory_hits": "service.memory_hits",
+        "store_failures": "service.store_failures",
+        "retries": "resilience.retries",
+        "timeouts": "resilience.timeouts",
+        "degradations": "resilience.degradations",
+    }
+
+    def _assert_stats_match_counters(self, service, rec):
+        snap = rec.instruments.snapshot()
+        for field, name in self.STAT_COUNTERS.items():
+            counted = snap.get(name, {"value": 0.0})["value"]
+            assert counted == getattr(service.stats, field), name
+
+    @pytest.mark.parametrize("drill", ["process-crash", "flaky-store"])
+    def test_stats_and_counters_agree_under_faults(self, tmp_path, drill):
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
+        if drill == "process-crash":
+            service = RunService(
+                use_cache=False,
+                executor="process",
+                policy=policy,
+                faults=FaultInjector(["crash:1"]),
+            )
+            graphs, jobs = ["FR", "PK"], 2
+        else:
+            service = RunService(
+                cache_dir=str(tmp_path / "cache"),
+                policy=policy,
+                faults=FaultInjector(["flaky-store:1:1"]),
+                sleep=lambda seconds: None,
+            )
+            graphs, jobs = ["FR"], 1
+        rec = TraceRecorder()
+        with use_recorder(rec):
+            for _ in range(2):  # the second pass is served from the memo
+                service.matrix(["BFS", "CC"], graphs, jobs=jobs)
+        assert service.stats.retries == 1
+        assert service.stats.memory_hits > 0
+        self._assert_stats_match_counters(service, rec)

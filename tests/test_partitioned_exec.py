@@ -7,19 +7,17 @@ properties, traces, convergence, and the canonical report JSON the
 harness derives from them.
 """
 
-import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.graph import datasets
 from repro.vcpm import (
     ALGORITHMS,
-    ShardScatterTask,
     run_vcpm,
     run_vcpm_partitioned,
     run_vcpm_sliced,
-    scatter_shard_task,
 )
-from repro.harness.resilience import ResilientRunService, RunManifest
+from repro.harness.resilience import RunManifest
 from repro.harness.service import RunService, canonical_reports_json
 
 
@@ -116,67 +114,6 @@ class TestShardObservability:
         _bitwise_equal(baseline, traced)
 
 
-class TestShardRunnerSeam:
-    def test_in_process_task_runner_matches(self, small_powerlaw):
-        calls = []
-
-        def runner(tasks):
-            calls.append(len(tasks))
-            return [scatter_shard_task(t, small_powerlaw) for t in tasks]
-
-        baseline = run_vcpm(small_powerlaw, ALGORITHMS["BFS"], source=0)
-        via_tasks = run_vcpm_partitioned(
-            small_powerlaw,
-            ALGORITHMS["BFS"],
-            shards=3,
-            source=0,
-            shard_runner=runner,
-        )
-        _bitwise_equal(baseline, via_tasks)
-        assert calls and all(n == 3 for n in calls)
-
-    def test_tasks_are_picklable(self, small_powerlaw):
-        import pickle
-
-        captured = []
-
-        def runner(tasks):
-            captured.extend(tasks)
-            return [scatter_shard_task(t, small_powerlaw) for t in tasks]
-
-        run_vcpm_partitioned(
-            small_powerlaw,
-            ALGORITHMS["BFS"],
-            shards=2,
-            source=0,
-            shard_runner=runner,
-            graph_ref=("FR", "memory"),
-        )
-        task = captured[0]
-        assert isinstance(task, ShardScatterTask)
-        assert task.graph_ref == ("FR", "memory")
-        clone = pickle.loads(pickle.dumps(task))
-        assert clone.vertex_hi == task.vertex_hi
-
-    def test_scatter_shard_task_reduces_segment(self, tiny_graph):
-        spec = ALGORITHMS["BFS"]
-        prop = spec.initial_prop(tiny_graph.num_vertices, 0)
-        task = ShardScatterTask(
-            iteration=0,
-            shard_index=0,
-            vertex_lo=0,
-            vertex_hi=tiny_graph.num_vertices,
-            algorithm="BFS",
-            graph_ref=None,
-            active=np.array([0], dtype=np.int64),
-            prop=prop,
-            t_prop_segment=spec.initial_tprop(tiny_graph.num_vertices),
-        )
-        segment = scatter_shard_task(task, tiny_graph)
-        assert segment.shape == (tiny_graph.num_vertices,)
-        assert np.isfinite(segment).any()
-
-
 class TestServiceIntegration:
     ALGOS = ("BFS", "PR")
 
@@ -192,15 +129,18 @@ class TestServiceIntegration:
         assert self._reports(storage="mmap", shards=4) == baseline
 
     def test_process_shard_fanout_matches(self):
+        # Shards run in the process that runs their cell: in the parent
+        # for cell(), in the pool's workers for matrix().
         baseline = self._reports()
-        fanned = self._reports(
-            storage="mmap", shards=2, jobs=2, executor="process"
-        )
-        assert fanned == baseline
+        kwargs = dict(storage="mmap", shards=2, jobs=2, executor="process")
+        assert self._reports(**kwargs) == baseline
+        service = RunService(use_cache=False, **kwargs)
+        fanned = service.matrix(list(self.ALGOS), ["FR"])
+        assert canonical_reports_json(fanned) == baseline
 
     def test_resilient_service_with_shards_matches(self, tmp_path):
         baseline = self._reports()
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             shards=3,
             manifest_path=str(tmp_path / "sweep.jsonl"),
@@ -225,32 +165,65 @@ class TestServiceIntegration:
             RunService(shards=0)
 
 
+#: A manifest as the sharded service journaled it before shard progress
+#: lines were dropped: ``matrix(["BFS", "CC"], ["FR"])`` with
+#: ``shards=2``, killed after BFS finished and CC's first shard had run.
+OLD_SHARDED_MANIFEST = """\
+{"algorithms": ["BFS", "CC"], "graph_keys": ["FR"], "kind": "repro-matrix-manifest", "schema": 1}
+{"shard": 0, "shard_of": ["BFS", "FR"], "shards": 2}
+{"shard": 1, "shard_of": ["BFS", "FR"], "shards": 2}
+{"cache_key": "aaae65c1eaa159accd20307d83b82d22", "cell": ["BFS", "FR"]}
+{"shard": 0, "shard_of": ["CC", "FR"], "shards": 2}
+"""
+
+
 class TestManifestShardBreadcrumbs:
-    def test_mark_shard_round_trips(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        manifest = RunManifest.start(path, ["BFS"], ["FR"])
-        manifest.mark_shard("BFS", "FR", 0, 3)
-        manifest.mark_shard("BFS", "FR", 2, 3)
-        manifest.mark_shard("BFS", "FR", 2, 3)  # idempotent
-        assert manifest.shard_progress("BFS", "FR") == {0, 2}
-        reloaded = RunManifest.load(path)
-        assert reloaded.shard_progress("BFS", "FR") == {0, 2}
-        assert not reloaded.is_completed("BFS", "FR")
+    """Manifests holding ``shard_of`` progress lines still load and resume."""
+
+    def test_old_manifest_loads_cell_entries_only(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(OLD_SHARDED_MANIFEST)
+        manifest = RunManifest.load(str(path))
+        assert manifest.algorithms == ["BFS", "CC"]
+        assert manifest.graph_keys == ["FR"]
+        assert manifest.completed == {
+            ("BFS", "FR"): "aaae65c1eaa159accd20307d83b82d22"
+        }
+        assert manifest.remaining([("BFS", "FR"), ("CC", "FR")]) == [
+            ("CC", "FR")
+        ]
 
     def test_shard_entries_do_not_break_cell_entries(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        manifest = RunManifest.start(path, ["BFS"], ["FR"])
-        manifest.mark_shard("BFS", "FR", 1, 2)
-        manifest.mark("BFS", "FR", cache_key="abc")
-        reloaded = RunManifest.load(path)
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(OLD_SHARDED_MANIFEST)
+        manifest = RunManifest.load(str(path))
+        manifest.mark("CC", "FR", cache_key="abc")
+        reloaded = RunManifest.load(str(path))
         assert reloaded.is_completed("BFS", "FR")
-        assert reloaded.shard_progress("BFS", "FR") == {1}
+        assert reloaded.is_completed("CC", "FR")
+        assert path.read_text().startswith(OLD_SHARDED_MANIFEST)
 
-    def test_resilient_run_records_shard_progress(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        service = ResilientRunService(
-            use_cache=False, shards=3, manifest_path=path
-        )
-        service.matrix(["BFS"], ["FR"])
-        reloaded = RunManifest.load(path)
-        assert reloaded.shard_progress("BFS", "FR") == {0, 1, 2}
+    def test_resume_runs_only_unfinished_cells(self, tmp_path, capsys):
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(OLD_SHARDED_MANIFEST)
+        cache = str(tmp_path / "cache")
+        # The finished cell's envelope, as the killed sweep stored it.
+        RunService(cache_dir=cache, shards=2).cell("BFS", "FR")
+        capsys.readouterr()
+        out_json = tmp_path / "resumed.json"
+        assert main(
+            ["matrix", "--resume", str(path), "--cache-dir", cache,
+             "--shards", "2", "-o", str(out_json)]
+        ) == 0
+        out = capsys.readouterr().out
+        rows = {
+            line.rsplit(None, 1)[0].strip(): line.rsplit(None, 1)[1]
+            for line in out.splitlines()
+            if line.strip().startswith(("cache hits", "executed (misses)"))
+        }
+        assert rows == {"cache hits": "1", "executed (misses)": "1"}
+        assert RunManifest.load(str(path)).remaining(
+            [("BFS", "FR"), ("CC", "FR")]
+        ) == []
+        clean = RunService(use_cache=False).matrix(["BFS", "CC"], ["FR"])
+        assert out_json.read_text() == canonical_reports_json(clean)

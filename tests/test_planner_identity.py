@@ -3,7 +3,7 @@ hand-coded matrix path.
 
 Every test executes the same grid twice — once compiled from a
 declarative spec through :func:`repro.harness.planner.execute_plan`,
-once through the original ``RunService.run_matrix`` — with caching
+once through the original ``RunService.matrix`` — with caching
 disabled on both sides, so equality is between two *genuine* executions
 (``canonical_reports_json`` bytes), not a cache replay.
 
@@ -40,7 +40,7 @@ def _spec_path_json(spec_text, **service_kwargs):
 def _matrix_path_json(algorithms, graphs, **service_kwargs):
     service = RunService(cache_dir=None, use_cache=False, **service_kwargs)
     return canonical_reports_json(
-        service.run_matrix(algorithms=algorithms, graph_keys=graphs)
+        service.matrix(algorithms=algorithms, graph_keys=graphs)
     )
 
 
@@ -104,7 +104,7 @@ class TestSpecMatrixIdentity:
             cache_dir=None,
             use_cache=False,
         )
-        hand = base.run_matrix(["BFS"], ["RM12"]) + half.run_matrix(
+        hand = base.matrix(["BFS"], ["RM12"]) + half.matrix(
             ["BFS"], ["RM12"]
         )
         assert canonical_reports_json(results) == canonical_reports_json(hand)
