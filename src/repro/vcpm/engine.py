@@ -26,6 +26,10 @@ engine keeps the frontier, its gathers and its memo instead of rebuilding
 them; that is a decision made from the spec, never from comparing arrays.
 Every array an observer sees is a read-only view.
 
+There is one iteration loop; :func:`run_vcpm` and the destination-sharded
+:func:`repro.vcpm.partitioned.run_vcpm_partitioned` differ only in the
+Reduce step they hand it (a :data:`Fold`).
+
 Timing models subscribe as :class:`IterationObserver`; one functional run can
 drive any number of accelerator models, which keeps benchmarks honest (every
 model sees the identical data-dependent behaviour) and fast.
@@ -116,7 +120,7 @@ class Frontier:
     ``edgeCnt``, so dispatch balance, prefetch runs, lane packing and RAW
     conflicts are functions of the frontier alone.  :meth:`memo` computes
     each such statistic once per frontier, however many observers read it,
-    and :func:`run_vcpm` keeps one ``Frontier`` (memo included) across
+    and the engine loop keeps one ``Frontier`` (memo included) across
     iterations whose active set is again every vertex.
 
     Memo rule: a memoized function reads only the ``Frontier`` it is given
@@ -298,6 +302,12 @@ class IterationObserver(Protocol):
         ...  # pragma: no cover - protocol
 
 
+#: The Reduce step: ``fold(frontier, results, t_prop, iteration)`` folds
+#: ``results`` (one per edge of ``frontier.edge_dst``, in traversal order)
+#: into ``t_prop`` in place with the spec's reduce ufunc.
+Fold = Callable[[Frontier, np.ndarray, np.ndarray, int], None]
+
+
 def run_vcpm(
     graph: CSRGraph,
     spec: AlgorithmSpec,
@@ -330,6 +340,70 @@ def run_vcpm(
 
     Returns:
         The final property array and per-iteration trace.
+    """
+    ufunc = spec.reduce_op.ufunc
+
+    def fold(frontier: Frontier, results, t_prop, iteration: int) -> None:
+        ufunc.at(t_prop, frontier.edge_dst, results)
+
+    return _iterate(
+        graph,
+        spec,
+        fold,
+        source=source,
+        max_iterations=max_iterations,
+        observers=observers,
+        pr_tolerance=pr_tolerance,
+        initial_properties=initial_properties,
+        initial_active=initial_active,
+    )
+
+
+def _scatter_inputs(
+    graph: CSRGraph, spec: AlgorithmSpec, active: np.ndarray
+) -> Tuple[Frontier, Optional[np.ndarray]]:
+    """The frontier of ``active`` and, for weighted specs, its edge weights.
+
+    The E-length edge index dies when this returns instead of staying
+    alive until the next gather (for PR, the whole run).  Unweighted specs
+    get ``None`` and skip the weight gather; the float64 cast keeps custom
+    ``process_edge`` math in float64.
+    """
+    edge_idx = gather_edge_indices(graph.offsets, active)
+    frontier = Frontier(
+        active_ids=active,
+        active_degrees=graph.offsets[active + 1] - graph.offsets[active],
+        active_offsets=graph.offsets[active],
+        edge_dst=graph.edges[edge_idx],
+        num_vertices=graph.num_vertices,
+    )
+    edge_w = (
+        _read_only(graph.weights[edge_idx].astype(np.float64))
+        if spec.uses_weights
+        else None
+    )
+    return frontier, edge_w
+
+
+def _iterate(
+    graph: CSRGraph,
+    spec: AlgorithmSpec,
+    fold: Fold,
+    source: Optional[int] = 0,
+    max_iterations: Optional[int] = None,
+    observers: Sequence[IterationObserver] = (),
+    pr_tolerance: float = 1e-7,
+    initial_properties: Optional[np.ndarray] = None,
+    initial_active: Optional[np.ndarray] = None,
+    **span_attrs: Any,
+) -> VCPMResult:
+    """The VCPM iteration loop shared by every engine; only ``fold`` varies.
+
+    Frontier build (kept across all-active iterations), weight gather,
+    Scatter's ``process_edge``, Apply, observers and recorder counters
+    are the same for every engine; ``fold`` is the Reduce step.
+    ``span_attrs`` are added to the ``vcpm.iteration`` and
+    ``vcpm.scatter`` spans.  Arguments are those of :func:`run_vcpm`.
     """
     num_vertices = graph.num_vertices
     if max_iterations is None:
@@ -408,34 +482,21 @@ def run_vcpm(
             algorithm=spec.name,
             iteration=iteration,
             active=int(active.size),
+            **span_attrs,
         ) as iter_span:
             # ----------------------- Scatter phase -----------------------
-            with rec.span("vcpm.scatter", track="vcpm"):
+            with rec.span("vcpm.scatter", track="vcpm", **span_attrs):
                 if frontier is None:
-                    edge_idx = gather_edge_indices(graph.offsets, active)
-                    frontier = Frontier(
-                        active_ids=active,
-                        active_degrees=(
-                            graph.offsets[active + 1] - graph.offsets[active]
-                        ),
-                        active_offsets=graph.offsets[active],
-                        edge_dst=graph.edges[edge_idx],
-                        num_vertices=num_vertices,
-                    )
-                    # Unweighted specs get None and skip the gather; the
-                    # float64 cast keeps custom process_edge math in float64.
-                    edge_w = (
-                        _read_only(graph.weights[edge_idx].astype(np.float64))
-                        if spec.uses_weights
-                        else None
-                    )
+                    frontier, edge_w = _scatter_inputs(graph, spec, active)
                 edge_dst = frontier.edge_dst
                 degrees = frontier.active_degrees
-                u_prop = np.repeat(prop[active], degrees)
-
-                results = spec.process_edge(u_prop, edge_w)
+                # The E-length source-property stream dies inside
+                # process_edge, before the Reduce step allocates.
+                results = spec.process_edge(
+                    np.repeat(prop[active], degrees), edge_w
+                )
                 t_prop_before = t_prop.copy()
-                spec.reduce_op.ufunc.at(t_prop, edge_dst, results)
+                fold(frontier, results, t_prop, iteration)
                 modified = np.flatnonzero(t_prop != t_prop_before)
 
             # ------------------------ Apply phase ------------------------

@@ -1,18 +1,29 @@
-"""Sharded VCPM execution: independent per-shard Scatter, merge at Apply.
+"""Sharded VCPM execution: per-shard Scatter, merge at Apply.
 
 The out-of-core execution tier.  A :class:`~repro.graph.slicing.PartitionPlan`
 splits the destination space into contiguous shards; every iteration each
-shard runs the Scatter phase *independently* over its own temporary-property
-segment (optionally VB-sliced within the shard, Section 4.2.1), and the
-disjoint segments are merged back before a single global Apply phase.
+shard reduces the edges landing in its own temporary-property segment
+(VB slice by VB slice when a Vertex Buffer capacity is given, Section
+4.2.1), and a single global Apply phase reads the merged ``t_prop``.
+
+The iteration loop is :func:`repro.vcpm.engine.run_vcpm`'s own; only the
+Reduce step differs.  Each frontier's edge stream is grouped by
+(shard, VB slice) segment once, through :meth:`Frontier.memo` (so PR,
+whose frontier lives the whole run, groups once per run): a per-vertex
+segment table gives every edge its key by a gather, a stable sort of the
+keys gives an ``order`` array, and the per-vertex destination histogram
+gives the segment cut points.  Each segment is then one contiguous run
+``order[cuts[k]:cuts[k + 1]]`` of the stream, which ``process_edge``
+has already mapped to results once, so a shard costs O(its edges)
+instead of a pass over the whole stream.
 
 Why this is safe (the byte-identical invariant): shards partition the
-destination space, so each shard owns a disjoint segment of ``t_prop``.
-Within a shard the edge stream keeps its traversal order, so the
-per-destination reduction order is exactly what the unsharded engine
-produces — bitwise-identical temporary properties (including non-associative
-float accumulation for PR), hence bitwise-identical Apply outputs, frontiers,
-and traces.
+destination space, so each shard owns a disjoint segment of ``t_prop``
+and folds straight into it.  The stable sort keeps each destination's
+edges in traversal order, so the per-destination reduction order is
+exactly what the unsharded engine produces — bitwise-identical temporary
+properties (including non-associative float accumulation for PR), hence
+bitwise-identical Apply outputs, frontiers, and traces.
 
 Shards run one after another in the calling process, as the Vertex-Buffer
 slices of Section 4.2.1 do on one chip.
@@ -20,67 +31,110 @@ slices of Section 4.2.1 do on one chip.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.slicing import (
-    PartitionPlan,
-    Shard,
-    SlicePlan,
-    plan_partitions,
-)
+from ..graph.slicing import PartitionPlan, plan_partitions
 from ..obs import get_recorder
 from .engine import (
+    Fold,
     Frontier,
-    IterationData,
     IterationObserver,
-    IterationTrace,
     VCPMResult,
-    gather_edge_indices,
+    _dst_histogram,
+    _iterate,
+    _read_only,
 )
 from .spec import AlgorithmSpec
 
 __all__ = ["run_vcpm_partitioned"]
 
 
-def _scatter_segment(
-    spec: AlgorithmSpec,
-    shard: Shard,
-    vb_plan: Optional[SlicePlan],
-    edge_dst: np.ndarray,
-    edge_w: np.ndarray,
-    u_prop: np.ndarray,
-    segment: np.ndarray,
-) -> np.ndarray:
-    """Reduce the shard's edges into its (mutable) ``t_prop`` segment.
+class _SegmentTable:
+    """The (shard, VB slice) segment of every vertex of a partition plan.
 
-    ``edge_dst``/``edge_w``/``u_prop`` are the full active edge stream in
-    traversal order; only edges landing in the shard are folded, one VB
-    slice at a time when a shard-local plan is given.  Traversal order is
-    preserved per destination, which is what makes the result bitwise
-    equal to the unsharded reduction.
+    Segments are each shard's VB slices in order (the whole shard when
+    unsliced), so they tile ``[0, num_vertices)`` in increasing vertex
+    order.  Hashed by identity: it is the memo key of one run's grouping.
     """
-    in_shard = (edge_dst >= shard.vertex_lo) & (edge_dst < shard.vertex_hi)
-    if vb_plan is None:
-        if np.any(in_shard):
-            results = spec.process_edge(u_prop[in_shard], edge_w[in_shard])
-            spec.reduce_op.ufunc.at(
-                segment, edge_dst[in_shard] - shard.vertex_lo, results
-            )
-        return segment
-    for slice_ in vb_plan:
-        in_slice = in_shard & (edge_dst >= slice_.vertex_lo) & (
-            edge_dst < slice_.vertex_hi
+
+    def __init__(
+        self,
+        plan: PartitionPlan,
+        vb_capacity_bytes: Optional[int],
+        tprop_bytes: int,
+    ) -> None:
+        starts: List[int] = []
+        self.shard_segments: List[range] = []
+        for shard in plan:
+            first = len(starts)
+            if vb_capacity_bytes is None:
+                starts.append(shard.vertex_lo)
+            else:
+                vb_plan = plan.vb_plan(shard, vb_capacity_bytes, tprop_bytes)
+                starts.extend(s.vertex_lo for s in vb_plan)
+            self.shard_segments.append(range(first, len(starts)))
+        self.num_segments = len(starts)
+        #: Segment boundaries: segment ``k`` is ``[bounds[k], bounds[k+1])``.
+        self.bounds = np.array(starts + [plan.num_vertices], dtype=np.int64)
+        key_dtype = np.min_scalar_type(self.num_segments - 1)
+        self.key_of = np.repeat(
+            np.arange(self.num_segments, dtype=key_dtype), np.diff(self.bounds)
         )
-        if not np.any(in_slice):
-            continue
-        results = spec.process_edge(u_prop[in_slice], edge_w[in_slice])
-        spec.reduce_op.ufunc.at(
-            segment, edge_dst[in_slice] - shard.vertex_lo, results
-        )
-    return segment
+
+
+def _group_by_segment(
+    frontier: Frontier, table: _SegmentTable
+) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """``(order, cuts)``: the frontier's edge positions grouped by segment.
+
+    ``order[cuts[k]:cuts[k + 1]]`` are the positions in
+    ``frontier.edge_dst`` of the edges landing in segment ``k``, in
+    traversal order (the sort is stable).
+    """
+    keys = table.key_of[frontier.edge_dst]
+    order = np.argsort(keys, kind="stable")
+    del keys
+    if order.size < 2**31:
+        order = order.astype(np.int32)
+    ends = np.concatenate(([0], np.cumsum(frontier.memo(_dst_histogram))))
+    return _read_only(order), tuple(ends[table.bounds].tolist())
+
+
+def _sharded_fold(
+    spec: AlgorithmSpec, plan: PartitionPlan, table: _SegmentTable
+) -> Fold:
+    """Reduce shard by shard, VB slice by VB slice within each shard."""
+    ufunc = spec.reduce_op.ufunc
+    rec = get_recorder()
+
+    def fold(frontier: Frontier, results, t_prop, iteration: int) -> None:
+        edge_dst = frontier.edge_dst
+        grouped = table.num_segments > 1
+        if grouped:
+            order, cuts = frontier.memo(_group_by_segment, table)
+        for shard, segments in zip(plan, table.shard_segments):
+            with rec.span(
+                "vcpm.shard_scatter",
+                track="vcpm",
+                shard=shard.index,
+                iteration=iteration,
+            ):
+                if grouped:
+                    for k in segments:
+                        if cuts[k] < cuts[k + 1]:
+                            idx = order[cuts[k]:cuts[k + 1]]
+                            ufunc.at(
+                                t_prop, edge_dst.take(idx), results.take(idx)
+                            )
+                else:
+                    ufunc.at(t_prop, edge_dst, results)
+            if rec.enabled:
+                rec.counter("vcpm.shard.scatters").add()
+
+    return fold
 
 
 def run_vcpm_partitioned(
@@ -111,153 +165,15 @@ def run_vcpm_partitioned(
             :func:`repro.vcpm.engine.run_vcpm`.
         tprop_bytes: bytes per temporary property entry (slice width).
     """
-    num_vertices = graph.num_vertices
-    if max_iterations is None:
-        max_iterations = spec.default_max_iterations
-    if spec.needs_source:
-        if source is None:
-            raise ValueError(f"{spec.name} requires a source vertex")
-        if not (0 <= source < max(num_vertices, 1)):
-            raise ValueError(f"source {source} out of range")
-    else:
-        source = None
-
-    plan: PartitionPlan = plan_partitions(num_vertices, shards)
-    vb_plans: List[Optional[SlicePlan]] = [
-        plan.vb_plan(shard, vb_capacity_bytes, tprop_bytes)
-        if vb_capacity_bytes is not None
-        else None
-        for shard in plan
-    ]
-
-    prop = spec.initial_prop(num_vertices, source)
-    t_prop = spec.initial_tprop(num_vertices)
-    if spec.uses_degree_cprop:
-        c_prop = graph.out_degree().astype(np.float64)
-    else:
-        c_prop = np.zeros(num_vertices, dtype=np.float64)
-
-    if spec.all_vertices_active_initially:
-        active = np.arange(num_vertices, dtype=np.int64)
-    elif source is not None and num_vertices:
-        active = np.asarray([source], dtype=np.int64)
-    else:
-        active = np.zeros(0, dtype=np.int64)
-
-    if spec.uses_degree_cprop and num_vertices:
-        prop = prop / np.maximum(c_prop, 1.0)
-
-    traces: List[IterationTrace] = []
-    converged = False
-    rec = get_recorder()
-
-    for iteration in range(max_iterations):
-        if active.size == 0:
-            converged = True
-            break
-
-        with rec.span(
-            "vcpm.iteration",
-            track="vcpm",
-            algorithm=spec.name,
-            iteration=iteration,
-            active=int(active.size),
-            shards=plan.num_shards,
-        ) as iter_span:
-            # --------------------- sharded Scatter phase ---------------------
-            with rec.span("vcpm.scatter", track="vcpm", shards=plan.num_shards):
-                edge_idx = gather_edge_indices(graph.offsets, active)
-                edge_dst = graph.edges[edge_idx]
-                edge_w = graph.weights[edge_idx].astype(np.float64)
-                degrees = graph.offsets[active + 1] - graph.offsets[active]
-                u_prop = np.repeat(prop[active], degrees)
-                t_prop_before = t_prop.copy()
-
-                for shard, vb_plan in zip(plan, vb_plans):
-                    with rec.span(
-                        "vcpm.shard_scatter",
-                        track="vcpm",
-                        shard=shard.index,
-                        iteration=iteration,
-                    ):
-                        segment = _scatter_segment(
-                            spec,
-                            shard,
-                            vb_plan,
-                            edge_dst,
-                            edge_w,
-                            u_prop,
-                            t_prop[shard.vertex_lo:shard.vertex_hi].copy(),
-                        )
-                        t_prop[shard.vertex_lo:shard.vertex_hi] = segment
-                    if rec.enabled:
-                        rec.counter("vcpm.shard.scatters").add()
-                modified = np.flatnonzero(t_prop != t_prop_before)
-
-            # --------------------- merged Apply phase ------------------------
-            with rec.span("vcpm.apply", track="vcpm"):
-                apply_res = spec.apply(prop, t_prop, c_prop)
-                activated_mask = apply_res != prop
-                activated = np.flatnonzero(activated_mask)
-                old_prop = prop
-                prop = np.where(activated_mask, apply_res, prop)
-
-            data = IterationData(
-                iteration=iteration,
-                frontier=Frontier(
-                    active_ids=active,
-                    active_degrees=degrees,
-                    active_offsets=graph.offsets[active],
-                    edge_dst=edge_dst,
-                    num_vertices=num_vertices,
-                ),
-                modified_ids=modified,
-                activated_ids=activated,
-            )
-            with rec.span("vcpm.observe", track="vcpm"):
-                for observer in observers:
-                    observer.on_iteration(data)
-            if rec.enabled:
-                iter_span.annotate(
-                    edges=int(edge_dst.size),
-                    modified=int(modified.size),
-                    activated=int(activated.size),
-                )
-                rec.counter("vcpm.iterations").add()
-                rec.counter("vcpm.active_vertices").add(int(active.size))
-                rec.counter("vcpm.edges").add(int(edge_dst.size))
-                rec.counter("vcpm.modified").add(int(modified.size))
-                rec.counter("vcpm.activated").add(int(activated.size))
-                rec.histogram("vcpm.frontier_size").observe(int(active.size))
-                rec.histogram("vcpm.active_degree").observe_many(degrees)
-        traces.append(
-            IterationTrace(
-                iteration=iteration,
-                num_active=int(active.size),
-                num_edges=int(edge_dst.size),
-                num_modified=int(modified.size),
-                num_activated=int(activated.size),
-            )
-        )
-
-        if spec.resets_tprop_each_iteration:
-            t_prop = spec.initial_tprop(num_vertices)
-            delta = float(np.abs(prop - old_prop).sum())
-            if delta < pr_tolerance:
-                converged = True
-                break
-            active = np.arange(num_vertices, dtype=np.int64)
-        else:
-            active = activated
-            if active.size == 0:
-                converged = True
-                break
-
-    return VCPMResult(
-        algorithm=spec.name,
-        graph_name=graph.name,
-        properties=prop,
-        iterations=traces,
-        converged=converged,
+    plan = plan_partitions(graph.num_vertices, shards)
+    table = _SegmentTable(plan, vb_capacity_bytes, tprop_bytes)
+    return _iterate(
+        graph,
+        spec,
+        _sharded_fold(spec, plan, table),
         source=source,
+        max_iterations=max_iterations,
+        observers=observers,
+        pr_tolerance=pr_tolerance,
+        shards=plan.num_shards,
     )

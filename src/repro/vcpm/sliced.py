@@ -7,11 +7,14 @@ active vertex data once per slice.  The timing layer models the cost; this
 module executes the technique *functionally* so the invariant -- slicing
 never changes results -- is testable end to end.
 
-Since the sharded refactor this is a thin front over
+This is a thin front over
 :func:`repro.vcpm.partitioned.run_vcpm_partitioned`: VB slicing is the
 ``shards=1`` special case of the shard × slice composition (a single shard
-covering ``[0, num_vertices)``, sliced by the VB plan).  Results are
-bitwise-identical to the pre-refactor implementation.
+covering ``[0, num_vertices)``, sliced by the VB plan).  It runs the same
+iteration loop as :func:`repro.vcpm.engine.run_vcpm`; each frontier's edge
+stream is grouped by slice once (a stable sort on a per-vertex slice key)
+and every slice folds its contiguous run of that order, so results are
+bitwise-identical to the unsliced engine.
 """
 
 from __future__ import annotations

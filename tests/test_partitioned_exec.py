@@ -8,15 +8,20 @@ harness derives from them.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.graph import datasets
+from repro.graph import CSRGraph, datasets
+from repro.graph.generators import power_law_graph, uniform_random_graph
 from repro.vcpm import (
     ALGORITHMS,
     run_vcpm,
     run_vcpm_partitioned,
     run_vcpm_sliced,
 )
+from repro.vcpm import partitioned
+from repro.vcpm.extensions import SPMV
 from repro.harness.resilience import RunManifest
 from repro.harness.service import RunService, canonical_reports_json
 
@@ -84,6 +89,122 @@ class TestByteIdenticalInvariant:
         baseline = run_vcpm(small_powerlaw, ALGORITHMS["PR"])
         sliced = run_vcpm_sliced(small_powerlaw, ALGORITHMS["PR"], 128)
         assert baseline.properties.tobytes() == sliced.properties.tobytes()
+
+
+#: Every array an observer reads from one iteration.
+_OBSERVED = ("active_ids", "edge_dst", "modified_ids", "activated_ids")
+
+
+class _Recorder:
+    """Keeps a copy of each iteration's observer-visible arrays."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_iteration(self, data):
+        arrays = [getattr(data, name) for name in _OBSERVED]
+        self.seen.append([(a.dtype.str, a.tobytes()) for a in arrays])
+
+
+@st.composite
+def _graphs(draw):
+    """Small generator graphs; dense enough for self-loops and multi-edges.
+
+    A drawn stride zeroes every k-th weight, so zero weights occur too.
+    """
+    num_vertices = draw(st.integers(1, 24))
+    num_edges = draw(st.integers(0, 4 * num_vertices + 8))
+    make = draw(st.sampled_from([uniform_random_graph, power_law_graph]))
+    graph = make(num_vertices, num_edges, seed=draw(st.integers(0, 2**16)))
+    stride = draw(st.sampled_from([0, 1, 3]))
+    if stride:
+        weights = graph.weights.copy()
+        weights[::stride] = 0
+        graph = CSRGraph.from_arrays(
+            num_vertices, graph.edge_sources(), graph.edges, weights
+        )
+    return graph
+
+
+class TestShardedMatchesUnshardedProperty:
+    """Any graph, shard count and VB capacity: the unsharded engine's bytes."""
+
+    @pytest.mark.parametrize(
+        "spec", [*ALGORITHMS.values(), SPMV], ids=lambda s: s.name
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        graph=_graphs(),
+        shards=st.integers(1, 9),
+        vb=st.sampled_from([None, 4, 12]),
+    )
+    def test_bytes_traces_and_observed_arrays(self, spec, graph, shards, vb):
+        plain, sharded = _Recorder(), _Recorder()
+        baseline = run_vcpm(graph, spec, source=0, observers=[plain])
+        result = run_vcpm_partitioned(
+            graph,
+            spec,
+            shards=shards,
+            vb_capacity_bytes=vb,
+            source=0,
+            observers=[sharded],
+        )
+        _bitwise_equal(baseline, result)
+        assert sharded.seen == plain.seen
+
+
+class TestFrontierReuse:
+    """PR's all-vertex frontier, its memo and its grouping live the whole run."""
+
+    @staticmethod
+    def _frontiers(run, graph, algo, **kwargs):
+        frontiers = []
+
+        class Probe:
+            def on_iteration(self, data):
+                frontiers.append(data.frontier)
+
+        run(graph, ALGORITHMS[algo], source=0, observers=[Probe()], **kwargs)
+        return frontiers
+
+    @pytest.fixture
+    def groupings(self, monkeypatch):
+        calls = []
+        original = partitioned._group_by_segment
+
+        def counting(frontier, table):
+            calls.append(frontier)
+            return original(frontier, table)
+
+        monkeypatch.setattr(partitioned, "_group_by_segment", counting)
+        return calls
+
+    def test_pr_sees_one_frontier_sharded_as_unsharded(self, small_powerlaw):
+        unsharded = self._frontiers(run_vcpm, small_powerlaw, "PR")
+        sharded = self._frontiers(
+            run_vcpm_partitioned, small_powerlaw, "PR", shards=4
+        )
+        assert len(sharded) == len(unsharded) > 1
+        assert all(f is unsharded[0] for f in unsharded)
+        assert all(f is sharded[0] for f in sharded)
+
+    def test_pr_groups_once_per_run(self, small_powerlaw, groupings):
+        sharded = self._frontiers(
+            run_vcpm_partitioned, small_powerlaw, "PR", shards=4
+        )
+        assert len(sharded) > 1
+        assert groupings == [sharded[0]]
+
+    def test_grouping_runs_once_per_frontier(self, small_powerlaw, groupings):
+        frontiers = self._frontiers(
+            run_vcpm_partitioned,
+            small_powerlaw,
+            "BFS",
+            shards=4,
+            vb_capacity_bytes=64,
+        )
+        assert len({id(f) for f in frontiers}) == len(frontiers) > 1
+        assert groupings == frontiers
 
 
 class TestShardObservability:
