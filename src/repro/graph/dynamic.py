@@ -13,9 +13,9 @@ Three invariants make the rest of the platform sound as graphs mutate:
 * **Canonical edge order.**  The snapshot's edges are kept in the
   canonical ``(src, dst, weight)`` order: the constructor sorts them
   once, and every batch is sorted on its own and *merged* into the
-  existing arrays (``searchsorted`` positions, ``np.delete`` /
-  ``np.insert``), so a mutation costs the size of the batch plus one
-  pass over the arrays, never a re-sort of every edge.  The CSR arrays
+  existing arrays (bisection inside the rows the batch names, then one
+  write of each new array), so a mutation costs the batch's rows plus
+  one write per array, never a re-sort of every edge.  The CSR arrays
   stay a pure function of the edge *multiset*: applying a batch and then
   its :meth:`EdgeBatch.inverse` restores the exact original arrays —
   and the exact original fingerprint.
@@ -45,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph, GraphError, radix_argsort, sorted_unique
+from .csr import CSRGraph, radix_argsort, sorted_unique
 
 __all__ = [
     "DYNAMIC_SCHEMA_VERSION",
@@ -216,17 +216,20 @@ def _canonical_csr(
 
     Sorts every edge; used once per :class:`DynamicGraph`, whose input
     order is arbitrary.  Batches are merged by :func:`_merge_batch`.
-    The order is ``np.lexsort((weights, dst, src))``, computed as three
-    stable radix passes, least significant key first.
     """
-    order = radix_argsort(_weight_keys(weights), 1 << 32)
-    order = order[radix_argsort(dst[order], num_vertices)]
-    order = order[radix_argsort(src[order], num_vertices)]
+    order = _canonical_order(num_vertices, src, dst, weights)
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
     return CSRGraph(
         offsets=offsets, edges=dst[order], weights=weights[order], name=name
     )
+
+
+def _canonical_order(num_vertices: int, src, dst, weights) -> np.ndarray:
+    """``np.lexsort((weights, dst, src))`` as three stable O(n) radix passes."""
+    order = radix_argsort(_weight_keys(weights), 1 << 32)
+    order = order[radix_argsort(dst[order], num_vertices)]
+    return order[radix_argsort(src[order], num_vertices)]
 
 
 def _weight_keys(weights: np.ndarray) -> np.ndarray:
@@ -254,120 +257,117 @@ def _content_fingerprint(graph: CSRGraph) -> str:
 
 
 def _run_search(
-    weights: np.ndarray,
+    keys: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     values: np.ndarray,
     side: str,
 ) -> np.ndarray:
-    """``searchsorted(weights[lo[i]:hi[i]], values[i], side)`` for every i.
+    """``lo[i] + searchsorted(keys[lo[i]:hi[i]], values[i], side)`` for every i.
 
-    Each ``weights[lo[i]:hi[i]]`` is one ascending run of equal
-    ``(src, dst)``.  One vectorized bisection step serves every query at
-    once, so the loop runs ``ceil(log2(longest run + 1))`` times.
-    Requires NaN-free weights (:class:`EdgeBatch` rejects NaN).
+    Each ``keys[lo[i]:hi[i]]`` is ascending: one row's destinations, or
+    the weights of one run of equal ``(src, dst)``.  A branch-free
+    bisection halves every range at once, so the loop runs
+    ``ceil(log2(longest range))`` times.  Requires NaN-free keys
+    (:class:`EdgeBatch` rejects NaN weights).
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    open_ = np.flatnonzero(lo < hi)
-    while open_.size:
-        mid = (lo[open_] + hi[open_]) // 2
-        if side == "left":
-            below = weights[mid] < values[open_]
-        else:
-            below = weights[mid] <= values[open_]
-        lo[open_] = np.where(below, mid + 1, lo[open_])
-        hi[open_] = np.where(below, hi[open_], mid)
-        open_ = open_[lo[open_] < hi[open_]]
-    return lo
+    below = np.less if side == "left" else np.less_equal
+    base = lo.copy()
+    count = hi - lo
+    # The answer stays in [base, base + count]; a probe of an empty
+    # range is clipped in bounds and weighs nothing (its half is 0).
+    while count.max(initial=0) > 1:
+        half = count >> 1
+        base += half * below(keys.take(base + half, mode="clip"), values)
+        count -= half
+    last = np.flatnonzero(count)
+    base[last] += below(keys[base[last]], values[last])
+    return base
 
 
-def _row_runs(
-    row_keys: np.ndarray, pairs: np.ndarray, num_vertices: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``[lo, hi)`` of the canonical edges equal to each ``(src, dst)``."""
-    keys = pairs[:, 0] * num_vertices + pairs[:, 1]
-    return (
-        np.searchsorted(row_keys, keys, side="left"),
-        np.searchsorted(row_keys, keys, side="right"),
-    )
+def _batch_runs(graph: CSRGraph, pairs, weights) -> Tuple[np.ndarray, ...]:
+    """The batch triples in canonical order, and each one's ``(src, dst)`` run.
+
+    Each run ``[lo, hi)`` of equal edges is bisected inside its source's row.
+    """
+    order = _canonical_order(graph.num_vertices, pairs[:, 0], pairs[:, 1], weights)
+    pairs, weights = pairs[order], weights[order]
+    row_lo, row_hi = graph.offsets[pairs[:, 0]], graph.offsets[pairs[:, 0] + 1]
+    run_lo = _run_search(graph.edges, row_lo, row_hi, pairs[:, 1], "left")
+    run_hi = _run_search(graph.edges, run_lo, row_hi, pairs[:, 1], "right")
+    return pairs, weights, run_lo, run_hi
 
 
 def _merge_batch(graph: CSRGraph, batch: EdgeBatch, name: str) -> CSRGraph:
     """``graph`` minus the batch deletes plus its inserts, in canonical order.
 
     ``graph`` is already canonical, so only the batch is sorted; each
-    triple is found by ``searchsorted`` on the int64 row key
-    ``src * V + dst`` (exact for V <= 3.0e9) and the weight tie-break is
-    resolved inside the run of equal ``(src, dst)``.  The r-th copy of a
+    ``(src, dst)`` is found inside its source's row, and the weight
+    tie-break inside the run of equal ``(src, dst)``.  The r-th copy of a
     repeated delete triple removes the r-th occurrence; inserts go to the
-    right of equal triples, in batch order.  The result is byte-identical
-    to a stable lexsort of the surviving and inserted edges.
+    right of equal triples, in batch order.  Each new array is allocated
+    at its final length and written once: inserts at their final slots,
+    the survivors through one fill mask.  The result is byte-identical to
+    a stable lexsort of the surviving and inserted edges.
 
     Raises:
         DynamicGraphError: a delete names more occurrences of a triple
             than the graph holds.
     """
-    num_vertices = graph.num_vertices
-    dst = graph.edges
-    wts = graph.weights
-    # Built in place: one E-length temporary, not two.
-    row_keys = graph.edge_sources()
-    row_keys *= num_vertices
-    row_keys += dst
-    degree_change = np.zeros(num_vertices, dtype=np.int64)
-
-    removed = np.zeros(0, dtype=np.int64)
-    if batch.num_deletes:
-        order = np.lexsort(
-            (batch.delete_weights, batch.deletes[:, 1], batch.deletes[:, 0])
+    pairs, values, run_lo, run_hi = _batch_runs(
+        graph, batch.deletes, batch.delete_weights
+    )
+    first = np.ones(pairs.shape[0], dtype=bool)
+    first[1:] = (
+        (pairs[1:, 0] != pairs[:-1, 0])
+        | (pairs[1:, 1] != pairs[:-1, 1])
+        | (values[1:] != values[:-1])
+    )
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    rank = np.arange(pairs.shape[0]) - starts[group]
+    lo = _run_search(graph.weights, run_lo, run_hi, values, "left")
+    hi = _run_search(graph.weights, run_lo, run_hi, values, "right")
+    # Ascends (groups sort like the canonical arrays and a group's slots
+    # are consecutive), as the insert-slot shift below needs.
+    removed = lo + rank
+    short = np.flatnonzero(removed >= hi)
+    if short.size:
+        i = starts[group[short[0]]]
+        count = int(np.count_nonzero(group == group[i]))
+        raise DynamicGraphError(
+            f"cannot delete edge ({int(pairs[i, 0])}, {int(pairs[i, 1])}, "
+            f"{float(values[i])}): {count} requested, "
+            f"{int(hi[i] - lo[i])} present"
         )
-        pairs = batch.deletes[order]
-        values = batch.delete_weights[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (
-            (pairs[1:, 0] != pairs[:-1, 0])
-            | (pairs[1:, 1] != pairs[:-1, 1])
-            | (values[1:] != values[:-1])
-        )
-        starts = np.flatnonzero(first)
-        group = np.cumsum(first) - 1
-        rank = np.arange(order.size) - starts[group]
-        run_lo, run_hi = _row_runs(row_keys, pairs, num_vertices)
-        lo = _run_search(wts, run_lo, run_hi, values, "left")
-        hi = _run_search(wts, run_lo, run_hi, values, "right")
-        # Ascends (groups sort like the canonical arrays and a group's
-        # slots are consecutive), as the insert-slot shift below needs.
-        removed = lo + rank
-        short = np.flatnonzero(removed >= hi)
-        if short.size:
-            i = starts[group[short[0]]]
-            count = int(np.count_nonzero(group == group[i]))
-            raise DynamicGraphError(
-                f"cannot delete edge ({int(pairs[i, 0])}, {int(pairs[i, 1])}, "
-                f"{float(values[i])}): {count} requested, "
-                f"{int(hi[i] - lo[i])} present"
-            )
-        dst = np.delete(dst, removed)
-        wts = np.delete(wts, removed)
-        degree_change -= np.bincount(pairs[:, 0], minlength=num_vertices)
+    degree_change = -np.bincount(pairs[:, 0], minlength=graph.num_vertices)
 
-    if batch.num_inserts:
-        order = np.lexsort(
-            (batch.insert_weights, batch.inserts[:, 1], batch.inserts[:, 0])
-        )
-        pairs = batch.inserts[order]
-        values = batch.insert_weights[order]
-        run_lo, run_hi = _row_runs(row_keys, pairs, num_vertices)
-        slots = _run_search(graph.weights, run_lo, run_hi, values, "right")
-        slots -= np.searchsorted(removed, slots, side="left")
-        dst = np.insert(dst, slots, pairs[:, 1])
-        wts = np.insert(wts, slots, values)
-        degree_change += np.bincount(pairs[:, 0], minlength=num_vertices)
+    pairs, values, run_lo, run_hi = _batch_runs(
+        graph, batch.inserts, batch.insert_weights
+    )
+    # Right of equal triples in the old arrays, less the deletes before
+    # that slot, plus the inserts ahead of it in the batch.
+    slots = _run_search(graph.weights, run_lo, run_hi, values, "right")
+    slots -= np.searchsorted(removed, slots, side="left")
+    slots += np.arange(slots.size)
+    degree_change += np.bincount(pairs[:, 0], minlength=graph.num_vertices)
 
+    size = graph.num_edges - removed.size + slots.size
+    fill = np.ones(size, dtype=bool)
+    fill[slots] = False
+    keep = slice(None)  # an insert-only batch keeps every old edge: a view
+    if removed.size:
+        keep = np.ones(graph.num_edges, dtype=bool)
+        keep[removed] = False
+    edges = np.empty(size, dtype=np.int64)
+    edges[slots] = pairs[:, 1]
+    edges[fill] = graph.edges[keep]
+    weights = np.empty(size, dtype=np.float32)
+    weights[slots] = values
+    weights[fill] = graph.weights[keep]
     offsets = graph.offsets.copy()
     offsets[1:] += np.cumsum(degree_change)
-    return CSRGraph(offsets=offsets, edges=dst, weights=wts, name=name)
+    return CSRGraph(offsets=offsets, edges=edges, weights=weights, name=name)
 
 
 class DynamicGraph:
@@ -446,12 +446,13 @@ class DynamicGraph:
         """Apply one batch; returns the touched (endpoint) vertex ids.
 
         The batch is merged into the canonical snapshot: only its own
-        triples are sorted, so the cost is the batch size plus one pass
-        over the arrays.  The new snapshot is byte-identical to sorting
-        the resulting edge multiset from scratch.  Every apply — even of
-        an empty batch — advances the generation by exactly one and
-        clears the content-fingerprint memo; nothing on this path hashes
-        the graph.  A failing apply changes nothing.
+        triples are sorted and only the rows they name are searched, so
+        the cost is those rows plus one write of each new array.  The new
+        snapshot is byte-identical to sorting the resulting edge multiset
+        from scratch.  Every apply — even of an empty batch — advances
+        the generation by exactly one and clears the content-fingerprint
+        memo; nothing on this path hashes the graph.  A failing apply
+        changes nothing.
 
         Raises:
             DynamicGraphError: an endpoint is out of range or a delete
@@ -730,7 +731,3 @@ def materialize_churn_key(folded_key: str) -> Optional[DynamicGraph]:
             return get(folded_key)
         raise
 
-
-def validate_graph_error_type() -> type:
-    """The error type shared with the static CSR layer (API affordance)."""
-    return GraphError

@@ -6,6 +6,7 @@ import dataclasses
 from typing import Dict, List
 
 from ..memory.traffic import TrafficLedger
+from ..obs import get_recorder
 
 __all__ = ["CacheStats", "ChurnStats", "PhaseBreakdown", "RunReport"]
 
@@ -81,20 +82,21 @@ class ChurnStats:
 
     def record(self, outcome) -> None:
         """Fold one :class:`repro.vcpm.incremental.IncrementalOutcome` in."""
-        if outcome.used_delta:
-            self.delta_runs += 1
-            self.delta_iterations += outcome.result.num_iterations
-            self.delta_edges_processed += outcome.result.total_edges_processed
-        else:
-            self.full_runs += 1
-            self.full_iterations += outcome.result.num_iterations
-            self.full_edges_processed += outcome.result.total_edges_processed
+        path, result = ("delta" if outcome.used_delta else "full"), outcome.result
+        self._count(f"{path}_runs")
+        self._count(f"{path}_iterations", result.num_iterations)
+        self._count(f"{path}_edges_processed", result.total_edges_processed)
 
     def record_batch(self, batch) -> None:
         """Fold one applied :class:`repro.graph.dynamic.EdgeBatch` in."""
-        self.batches_applied += 1
-        self.edges_inserted += batch.num_inserts
-        self.edges_deleted += batch.num_deletes
+        self._count("batches_applied")
+        self._count("edges_inserted", batch.num_inserts)
+        self._count("edges_deleted", batch.num_deletes)
+
+    def _count(self, field: str, amount: int = 1) -> None:
+        """Bump ``<field>`` and its ``churn.<field>`` counter: the one writer."""
+        setattr(self, field, getattr(self, field) + amount)
+        get_recorder().counter(f"churn.{field}").add(amount)
 
 
 @dataclasses.dataclass

@@ -91,7 +91,8 @@ def gather_edge_indices(
     run_ends = np.cumsum(counts)
     run_starts_in_output = run_ends - counts
     base = np.repeat(starts - run_starts_in_output, counts)
-    return base + np.arange(total, dtype=np.int64)
+    base += np.arange(total, dtype=np.int64)
+    return base
 
 
 def _read_only(array) -> np.ndarray:

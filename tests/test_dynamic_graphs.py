@@ -18,6 +18,7 @@ byte-identical to the straightforward versions kept below as oracles (a
 full lexsort rebuild, and swap-remove over Python lists).
 """
 
+import hashlib
 import sys
 import threading
 
@@ -210,16 +211,20 @@ def oracle_cases(draw):
     """A canonical graph and a batch that applies cleanly to it.
 
     Covers duplicate triples, zero and negative weights, deletes of
-    every copy of a triple, re-inserts of deleted triples, and a
-    V = 2**17 vertex set whose row keys ``src * V + dst`` exceed 2**31.
+    every copy of a triple, re-inserts of deleted triples, a V = 2**17
+    vertex set, inserts whose sources have out-degree 0 (the last vertex
+    among them), and batches that name many distinct rows.
     """
-    num_vertices = draw(st.sampled_from([1, 2, 5, 9, 2**17]))
+    num_vertices = draw(st.sampled_from([1, 2, 5, 9, 64, 2**17]))
     if num_vertices == 2**17:
         vertex = st.sampled_from([0, 1, 40_000, 2**17 - 2, 2**17 - 1])
     else:
         vertex = st.integers(min_value=0, max_value=num_vertices - 1)
     weight = st.sampled_from(ORACLE_WEIGHTS)
     triples = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=30))
+    if draw(st.booleans()):
+        # Leave the last vertex with out-degree 0.
+        triples = [t for t in triples if t[0] != num_vertices - 1]
     # Duplicate some triples outright.
     triples += draw(
         st.lists(st.sampled_from(triples), max_size=6) if triples else st.just([])
@@ -256,6 +261,27 @@ def oracle_cases(draw):
             deletes += [t for t in existing if t == target]
         deletes = draw(st.permutations(deletes))
     inserts = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=12))
+    degree = np.diff(canonical.offsets)
+    empty = np.flatnonzero(degree == 0)
+    if empty.size:
+        # The first and last sources with no out-edges.
+        empty_rows = sorted(set(empty[:3].tolist()) | set(empty[-3:].tolist()))
+        inserts += draw(
+            st.lists(
+                st.tuples(st.sampled_from(empty_rows), vertex, weight),
+                max_size=4,
+            )
+        )
+    if draw(st.booleans()):
+        # One insert in each of many distinct rows.
+        rows = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=num_vertices - 1),
+                unique=True,
+                max_size=40,
+            )
+        )
+        inserts += [(row, draw(vertex), draw(weight)) for row in rows]
     if deletes and draw(st.booleans()):
         inserts += draw(st.lists(st.sampled_from(deletes), max_size=4))
     inserts = draw(st.permutations(inserts))
@@ -348,6 +374,43 @@ class TestMergeOracle:
             dynamic.apply(batch)
             assert _snapshot_bytes(dynamic.graph) == _snapshot_bytes(expected)
         assert np.signbit(dynamic.graph.weights).tolist() == [False]
+
+
+class TestMergeAtScale:
+    #: sha256 over ``offsets || edges || weights`` of every snapshot along
+    #: the PK trace below, as the earlier global-row-key merge wrote them.
+    PK_TRACE_SHA256 = (
+        "54ef9b7058e1914973a1cfe40be51c1af9b831d7bda836179940e7d65f46f318"
+    )
+
+    def test_pk_trace_snapshots_are_pinned(self):
+        dynamic = DynamicGraph(datasets.load("PK"), key="HYP-PK-TRACE")
+        batch_edges = dynamic.num_edges // 100
+        digest = hashlib.sha256()
+        for step, fraction in enumerate((1.0, 1.0, 0.5, 1.0, 1.0, 0.5)):
+            (batch,) = churn_batches(
+                dynamic.graph, 1, batch_edges, insert_fraction=fraction,
+                seed=step,
+            )
+            dynamic.apply(batch)
+            for arr in _snapshot_bytes(dynamic.graph):
+                digest.update(arr)
+        assert digest.hexdigest() == self.PK_TRACE_SHA256
+
+    def test_apply_never_expands_edge_sources(self, monkeypatch):
+        dynamic = DynamicGraph(datasets.load("FR"), key="HYP-NO-SOURCES")
+        batches = list(
+            churn_batches(dynamic.graph, 3, 64, insert_fraction=0.5, seed=3)
+        )
+        batches.append(EdgeBatch.of(inserts=[(0, 1)]))
+
+        def forbidden(graph):
+            raise AssertionError("DynamicGraph.apply expanded edge_sources")
+
+        monkeypatch.setattr(CSRGraph, "edge_sources", forbidden)
+        for batch in batches:
+            dynamic.apply(batch)
+        assert dynamic.generation == len(batches)
 
 
 class TestBitIdentity:

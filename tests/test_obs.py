@@ -1,5 +1,6 @@
 """Unit tests for the observability layer (`repro.obs`)."""
 
+import dataclasses
 import json
 import math
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from repro.graph import datasets
+from repro.graph.dynamic import DynamicGraph, churn_batches
 from repro.harness.faults import FaultInjector
 from repro.harness.resilience import RetryPolicy
 from repro.harness.service import RunService, execute_cell
+from repro.metrics.counters import ChurnStats
 from repro.obs import (
     NULL_RECORDER,
     DeterministicClock,
@@ -20,6 +23,8 @@ from repro.obs import (
 )
 from repro.obs.export import chrome_trace, stats_rows, to_jsonl
 from repro.obs.instruments import DEFAULT_BUCKET_EDGES, Histogram
+from repro.vcpm import get_algorithm, run_vcpm
+from repro.vcpm.incremental import run_vcpm_incremental
 
 
 class TestClock:
@@ -230,6 +235,34 @@ class TestReconciliation:
                 expected = report.traffic.region_total(region)
                 got = snap.get(name, {"value": 0})["value"]
                 assert got == expected, (system, region)
+
+
+class TestChurnInstrumentation:
+    def test_churn_stats_equal_registry_counters(self):
+        graph = datasets.load("FR")
+        dynamic = DynamicGraph(graph, key="OBS-CHURN")
+        spec = get_algorithm("BFS")
+        stats = ChurnStats()
+        rec = TraceRecorder()
+        with use_recorder(rec):
+            previous = run_vcpm(dynamic.graph, spec, source=0)
+            # Insert-only batches take the delta path, mixed ones fall back.
+            for fraction in (1.0, 0.5):
+                for batch in churn_batches(
+                    dynamic.graph, 2, 16, insert_fraction=fraction, seed=7
+                ):
+                    dynamic.apply(batch)
+                    stats.record_batch(batch)
+                    outcome = run_vcpm_incremental(
+                        dynamic.graph, spec, batch, previous, source=0
+                    )
+                    stats.record(outcome)
+                    previous = outcome.result
+        assert stats.delta_runs == 2 and stats.full_runs == 2
+        snap = rec.instruments.snapshot()
+        for field in dataclasses.fields(ChurnStats):
+            counted = snap.get(f"churn.{field.name}", {"value": 0.0})["value"]
+            assert counted == getattr(stats, field.name), field.name
 
 
 class TestServiceInstrumentation:
