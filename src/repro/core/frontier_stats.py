@@ -12,8 +12,26 @@ each plan once per run.  This module is the one list of what observers
 share; every value returned is immutable, because every caller receives
 the same object.
 
+Cost per frontier of ``A`` active vertices and ``E`` edges (each paid
+once, however many observers read it):
+
+* ``balanced_dispatch``: O(A + chunks), chunks = sum of
+  ``ceil(degree / e_threshold)``, folded into ``num_pes`` columns;
+* ``hash_dispatch``, ``vectorize_workloads``, ``warp_divergence``,
+  ``mean_nonzero_degree``: a few O(A) array passes;
+* ``plan_exact_prefetch`` / ``plan_baseline_fetch``: O(A), 1-3 access
+  patterns;
+* ``grouped_duplicate_count``: O(E) and the largest, since E >> A.  It
+  runs in fixed-size blocks through one scratch array (int32 when the
+  ids fit): ``w(w-1)/2`` column compares per group at Graphicionado's
+  ``w = 8`` (3.5 per flit), an in-place row sort at Gunrock's
+  ``w = 256``;
+* ``Frontier.dst_loads`` (the crossbar's per-output loads): one O(E)
+  ``bincount`` per frontier, then O(V) per width folded.
+
 Apply-side quantities (the Update Bitmap's scheduled count, DCA's bank
-loads) depend on ``modified_ids`` and stay per-iteration.
+loads) depend on ``modified_ids`` and stay per-iteration; the scheduled
+count is one O(modified + V / block) mask pass.
 """
 
 from __future__ import annotations

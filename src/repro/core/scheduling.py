@@ -114,19 +114,20 @@ def balanced_dispatch(
     base = degrees // num_chunks
     extra = degrees - base * num_chunks  # first `extra` chunks get +1
 
+    # Chunk k goes to PE k % num_pes: lay the chunk sizes out in rows of
+    # num_pes and sum the columns.
     total_chunks = int(num_chunks.sum())
-    chunk_sizes = np.repeat(base, num_chunks)
-    # Mark the +1 chunks: within each vertex's run, the first `extra`.
-    ends = np.cumsum(num_chunks)
-    starts = ends - num_chunks
-    position_in_run = np.arange(total_chunks, dtype=np.int64) - np.repeat(
-        starts, num_chunks
-    )
-    chunk_sizes = chunk_sizes + (position_in_run < np.repeat(extra, num_chunks))
-
-    pe_ids = np.arange(total_chunks, dtype=np.int64) % num_pes
-    loads = np.zeros(num_pes, dtype=np.int64)
-    np.add.at(loads, pe_ids, chunk_sizes)
+    chunk_sizes = np.zeros(-(-total_chunks // num_pes) * num_pes, dtype=np.int64)
+    chunk_sizes[:total_chunks] = np.repeat(base, num_chunks)
+    # Only split lists have +1 chunks (a whole list has extra == 0): add
+    # one to the first `extra` chunks of each, at [start, start + extra).
+    split = np.flatnonzero(extra)
+    if split.size:
+        starts = (np.cumsum(num_chunks) - num_chunks)[split]
+        lengths = extra[split]
+        ramp = np.arange(int(lengths.sum()), dtype=np.int64)
+        chunk_sizes[np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + ramp] += 1
+    loads = chunk_sizes.reshape(-1, num_pes).sum(axis=0)
 
     return DispatchOutcome(
         pe_loads=loads,

@@ -19,8 +19,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ..graph.csr import sorted_unique
-
 __all__ = ["ReadyToUpdateBitmap", "BitmapStats"]
 
 
@@ -106,14 +104,19 @@ class ReadyToUpdateBitmap:
     def scheduled_count(
         modified_ids: np.ndarray, num_vertices: int, block_size: int = 256
     ) -> int:
-        """Closed-form count of scheduled vertices (timing-layer fast path)."""
+        """Closed-form count of scheduled vertices (timing-layer fast path).
+
+        Exact for ids in any order: the distinct blocks are flagged in a
+        ``ceil(V / block_size)``-entry mask, not found by sorting.
+        """
         ids = np.asarray(modified_ids, dtype=np.int64)
         if ids.size == 0 or num_vertices == 0:
             return 0
-        blocks = sorted_unique(ids // block_size)
-        full = int(blocks.size) * block_size
+        marked = np.zeros(-(-num_vertices // block_size), dtype=bool)
+        marked[ids // block_size] = True
+        scheduled = int(np.count_nonzero(marked)) * block_size
         # The last block may be truncated by the vertex count.
-        last_block = num_vertices // block_size
-        if blocks.size and blocks[-1] == last_block:
-            full -= block_size - (num_vertices - last_block * block_size)
-        return min(full, num_vertices)
+        partial = num_vertices % block_size
+        if partial and marked[-1]:
+            scheduled -= block_size - partial
+        return scheduled

@@ -367,7 +367,11 @@ def _merge_batch(graph: CSRGraph, batch: EdgeBatch, name: str) -> CSRGraph:
     weights[fill] = graph.weights[keep]
     offsets = graph.offsets.copy()
     offsets[1:] += np.cumsum(degree_change)
-    return CSRGraph(offsets=offsets, edges=edges, weights=weights, name=name)
+    # A valid snapshot plus range-checked endpoints (``apply``) is valid:
+    # skip the whole-snapshot re-scan.
+    return CSRGraph(
+        offsets=offsets, edges=edges, weights=weights, name=name, validate=False
+    )
 
 
 class DynamicGraph:

@@ -21,30 +21,98 @@ import numpy as np
 __all__ = ["CrossbarStats", "Crossbar", "grouped_duplicate_count"]
 
 
+#: Full issue groups are counted in blocks of about this many flits,
+#: copied into one reused scratch array, so the working set stays
+#: cache-sized and no array the size of the stream is allocated.
+_BLOCK_FLITS = 1 << 16
+
+#: Widest group counted by comparing columns pairwise (``w(w-1)/2``
+#: compares per group); wider groups sort each row instead.
+_COMPARE_MAX_WIDTH = 16
+
+
 def grouped_duplicate_count(dst: np.ndarray, group_width: int) -> int:
     """Same-address collisions within each issue group of ``group_width``.
 
     Counts flits whose destination *vertex* (not just UE) already appears in
     the same issue group -- the read-after-write hazards a stall-on-conflict
-    reducer pays for and the zero-stall Reduce Pipeline absorbs.
+    reducer pays for and the zero-stall Reduce Pipeline absorbs.  ``dst``
+    holds integer vertex ids.
 
-    Only flits of one group can collide, so each group is sorted on its own:
-    the full groups as the rows of an ``(n // w, w)`` view sorted along
-    axis 1, the ``n % w`` tail separately.  A group of ``k`` distinct
-    addresses over ``m`` flits has ``m - k`` equal sorted neighbours, so the
-    count is exact at O(n log w) work.
+    Only flits of one group can collide.  The full groups are the rows of
+    an ``(n // w, w)`` view, copied ``_BLOCK_FLITS`` at a time into one
+    scratch array.  It is ``int32`` until a block holds an id that does not
+    fit (checked per block, while the block is in cache), ``int64`` from
+    then on.
+
+    * ``w <= _COMPARE_MAX_WIDTH``: the block is stored column-major and a
+      flit conflicts when it equals an earlier flit of its row, so each
+      shift ``d`` compares column ``j`` with column ``j - d`` for every
+      ``j >= d`` at once and ORs the result into a per-flit flag;
+    * wider groups: each row is sorted in place, and a row of ``k``
+      distinct ids over ``w`` flits has ``w - k`` equal neighbours.
+
+    The ``n % w`` tail is sorted on its own.  The count is exact.
     """
     dst = np.asarray(dst)
     n = dst.size
     if n == 0 or group_width < 2:
         return 0
     full = n - n % group_width
-    rows = np.sort(dst[:full].reshape(-1, group_width), axis=1)
     tail = np.sort(dst[full:])
-    return int(
-        np.count_nonzero(rows[:, 1:] == rows[:, :-1])
-        + np.count_nonzero(tail[1:] == tail[:-1])
-    )
+    count = int(np.count_nonzero(tail[1:] == tail[:-1]))
+    if not full:
+        return count
+    rows = dst[:full].reshape(-1, group_width)
+    block_rows = min(max(1, _BLOCK_FLITS // group_width), rows.shape[0])
+    if group_width <= _COMPARE_MAX_WIDTH:
+        count_block = _count_by_compare
+        shape = (group_width, block_rows)  # column-major
+    else:
+        count_block = _count_by_sort
+        shape = (block_rows, group_width)
+    scratch = np.empty(shape, np.int32)
+    flags = np.empty((2, block_rows * group_width), dtype=bool)
+    for start in range(0, rows.shape[0], block_rows):
+        block = rows[start : start + block_rows]
+        if scratch.dtype == np.int32 and not _fits_int32(block):
+            scratch = np.empty(shape, np.int64)  # for this and later blocks
+        count += count_block(block, scratch, flags)
+    return count
+
+
+def _fits_int32(values: np.ndarray) -> bool:
+    if np.can_cast(values.dtype, np.int32):
+        return True
+    info = np.iinfo(np.int32)
+    return bool(values.min() >= info.min and values.max() <= info.max)
+
+
+def _count_by_compare(rows: np.ndarray, scratch: np.ndarray, flags: np.ndarray) -> int:
+    """Flits equal to an earlier flit of their row, by column compares."""
+    m, w = rows.shape
+    cols = scratch[:, :m]
+    cols[...] = rows.T
+    equal, seen = flags[:, : w * m].reshape(2, w, m)
+    seen[...] = False
+    for d in range(1, w):
+        # Column j against column j - d, for every j >= d at once.
+        np.equal(cols[d:], cols[:-d], out=equal[d:])
+        np.logical_or(seen[d:], equal[d:], out=seen[d:])
+    return int(np.count_nonzero(seen))
+
+
+def _count_by_sort(rows: np.ndarray, scratch: np.ndarray, flags: np.ndarray) -> int:
+    """Equal neighbours within each row, sorted in place."""
+    m, w = rows.shape
+    block = scratch[:m]
+    block[...] = rows
+    block.sort(axis=1)
+    flat = block.reshape(-1)
+    equal = flags[0, : flat.size - 1]
+    np.equal(flat[1:], flat[:-1], out=equal)
+    # Pairs that straddle two rows are not in one group.
+    return int(np.count_nonzero(equal) - np.count_nonzero(equal[w - 1 :: w]))
 
 
 @dataclasses.dataclass

@@ -21,7 +21,7 @@ Forum 2014).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -141,29 +141,16 @@ class HBMModel:
 
         Patterns within one call are assumed to interleave across channels,
         so their service times add (bandwidth is the shared resource).
-        Accumulates global traffic/energy state.
-
-        Timing is computed through the batched kernel
-        (:mod:`repro.kernels.hbm_batch`) -- one array expression over the
-        whole batch instead of one Python call per pattern --
-        bit-identical to :meth:`service_scalar`.
+        Accumulates global traffic/energy state.  A batch holds a handful
+        of patterns (2-8 per call from the timing models), so each is
+        priced by one :meth:`pattern_cycles` call, summed left to right.
         """
-        from ..kernels.hbm_batch import batch_cycles_sum, pattern_cycles_batch
-
         patterns = list(patterns)
-        count = len(patterns)
-        total_arr = np.fromiter(
-            (p.total_bytes for p in patterns), dtype=np.float64, count=count
-        )
-        run_arr = np.fromiter(
-            (p.run_bytes for p in patterns), dtype=np.float64, count=count
-        )
-        cycles = batch_cycles_sum(
-            pattern_cycles_batch(self.config, total_arr, run_arr)
-        )
+        cycles = 0.0
         total_bytes = 0
         by_region: Dict[Region, int] = {}
         for pattern in patterns:
+            cycles += self.pattern_cycles(pattern)
             total_bytes += pattern.total_bytes
             by_region[pattern.region] = (
                 by_region.get(pattern.region, 0) + pattern.total_bytes
@@ -177,8 +164,8 @@ class HBMModel:
         self.total_cycles += cycles
         self.total_ideal_cycles += ideal
         rec = get_recorder()
-        if rec.enabled and count:
-            self._record_service(rec, count, total_arr, run_arr, by_region)
+        if rec.enabled and patterns:
+            self._record_service(rec, patterns, by_region)
         return ServiceResult(
             cycles=cycles,
             total_bytes=total_bytes,
@@ -189,21 +176,25 @@ class HBMModel:
     def _record_service(
         self,
         rec,
-        count: int,
-        total_arr: np.ndarray,
-        run_arr: np.ndarray,
+        patterns: List[AccessPattern],
         by_region: Dict[Region, int],
     ) -> None:
         """Instrument one serviced batch (recorder enabled only).
 
-        Row hits/misses follow the same closed form the timing kernel
-        uses: each run pays one activate per DRAM row it touches; the
-        remaining bursts are row-buffer hits.  Only :meth:`service` is
-        instrumented -- :meth:`service_scalar` stays a bare reference
-        path for the equivalence tests.
+        Row hits/misses follow the closed form of :meth:`pattern_cycles`:
+        each run pays one activate per DRAM row it touches; the remaining
+        bursts are row-buffer hits.  The sums stay numpy array reductions,
+        whose rounding the exporter goldens pin.
         """
         cfg = self.config
         prefix = f"hbm.{self.owner}" if self.owner else "hbm"
+        count = len(patterns)
+        total_arr = np.fromiter(
+            (p.total_bytes for p in patterns), dtype=np.float64, count=count
+        )
+        run_arr = np.fromiter(
+            (p.run_bytes for p in patterns), dtype=np.float64, count=count
+        )
         run = np.maximum(run_arr, 1.0)
         padded_run = np.maximum(run, float(cfg.min_access_bytes))
         num_runs = np.maximum(1.0, total_arr / run)
@@ -223,36 +214,6 @@ class HBMModel:
         ).observe_many(run_arr)
         rec.gauge(f"{prefix}.bandwidth_utilization").set(
             self.bandwidth_utilization
-        )
-
-    def service_scalar(self, patterns: Iterable[AccessPattern]) -> ServiceResult:
-        """Retained per-pattern reference for :meth:`service`.
-
-        Identical accounting with one :meth:`pattern_cycles` call per
-        pattern; the equivalence tests replay batches through both paths.
-        """
-        cycles = 0.0
-        total_bytes = 0
-        by_region: Dict[Region, int] = {}
-        for pattern in patterns:
-            cycles += self.pattern_cycles(pattern)
-            total_bytes += pattern.total_bytes
-            by_region[pattern.region] = (
-                by_region.get(pattern.region, 0) + pattern.total_bytes
-            )
-            self.bytes_by_region[pattern.region] += pattern.total_bytes
-            if pattern.is_write:
-                self.write_bytes += pattern.total_bytes
-            else:
-                self.read_bytes += pattern.total_bytes
-        ideal = self.ideal_cycles(total_bytes)
-        self.total_cycles += cycles
-        self.total_ideal_cycles += ideal
-        return ServiceResult(
-            cycles=cycles,
-            total_bytes=total_bytes,
-            ideal_cycles=ideal,
-            bytes_by_region=by_region,
         )
 
     # ------------------------------------------------------------------

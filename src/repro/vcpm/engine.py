@@ -109,9 +109,10 @@ def _dst_histogram(frontier: "Frontier") -> np.ndarray:
 
 def _fold_dst_loads(frontier: "Frontier", width: int) -> np.ndarray:
     hist = frontier.memo(_dst_histogram)
-    return _read_only(
-        np.pad(hist, (0, -hist.size % width)).reshape(-1, width).sum(axis=0)
-    )
+    full = hist.size - hist.size % width
+    loads = hist[:full].reshape(-1, width).sum(axis=0)
+    loads[: hist.size - full] += hist[full:]
+    return _read_only(loads)
 
 
 class Frontier:
@@ -170,9 +171,9 @@ class Frontier:
 
         Equal to ``np.bincount(edge_dst % width, minlength=width)``
         (dtype included): the per-vertex histogram is computed once per
-        frontier, padded to a multiple of ``width``, reshaped to
-        ``(-1, width)`` and summed over axis 0.  Each width's fold is
-        memoized too, and returned read-only.
+        frontier, its whole rows of ``width`` buckets are summed over
+        axis 0 and the partial last row is added in place.  Each width's
+        fold is memoized too, and returned read-only.
         """
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")

@@ -124,6 +124,21 @@ class TestBitmapOracle:
         )
 
 
+class TestScheduledCountOrder:
+    """The observers pass sorted ids; ``harness/sweeps.py`` may not."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=marked_ids(), seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_equals_sorted(self, case, seed):
+        ids, num_vertices, block_size = case
+        shuffled = np.random.default_rng(seed).permutation(ids)
+        assert ReadyToUpdateBitmap.scheduled_count(
+            shuffled, num_vertices, block_size
+        ) == ReadyToUpdateBitmap.scheduled_count(
+            np.sort(ids), num_vertices, block_size
+        )
+
+
 class TestCoalescer:
     def test_bursts_on_queue_fill(self):
         au = ActivationCoalescer(queue_entries=4, record_bytes=12)

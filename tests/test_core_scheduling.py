@@ -2,8 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import balanced_dispatch, hash_dispatch, per_vertex_dispatch_ops
+
+
+def _chunk_loop_reference(degrees, num_pes, e_threshold):
+    """Oracle: deal every chunk, one at a time, to PE ``k % num_pes``."""
+    loads = [0] * num_pes
+    k = 0
+    for degree in degrees:
+        chunks = max(-(-degree // e_threshold), 1)
+        base, extra = divmod(degree, chunks)
+        for j in range(chunks):
+            loads[k % num_pes] += base + (j < extra)
+            k += 1
+    return loads, k
 
 
 class TestBalancedDispatch:
@@ -57,6 +72,23 @@ class TestBalancedDispatch:
     def test_normalized_loads_mean_one(self):
         outcome = balanced_dispatch(np.array([10, 20, 30, 40]), num_pes=4)
         assert outcome.normalized_loads().mean() == pytest.approx(1.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        degrees=st.lists(
+            st.one_of(st.integers(0, 40), st.integers(0, 2000)), max_size=120
+        ),
+        num_pes=st.sampled_from([1, 3, 16]),
+        e_threshold=st.sampled_from([1, 7, 16, 128]),
+    )
+    def test_matches_chunk_loop_reference(self, degrees, num_pes, e_threshold):
+        loads, chunks = _chunk_loop_reference(degrees, num_pes, e_threshold)
+        outcome = balanced_dispatch(
+            np.asarray(degrees, dtype=np.int64), num_pes, e_threshold
+        )
+        assert outcome.pe_loads.dtype == np.int64
+        assert outcome.pe_loads.tolist() == loads
+        assert outcome.scheduling_ops == chunks
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

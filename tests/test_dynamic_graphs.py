@@ -302,6 +302,8 @@ class TestMergeOracle:
         expected = _reference_apply(dynamic.graph, batch)
         dynamic.apply(batch)
         assert _snapshot_bytes(dynamic.graph) == _snapshot_bytes(expected)
+        # The merge skips the construction-time scan; the invariants hold.
+        dynamic.graph._validate()
 
     @settings(max_examples=60, deadline=None)
     @given(case=oracle_cases(), data=st.data())

@@ -74,6 +74,15 @@ def test_dst_loads_are_read_only(frontier):
         _assert_immutable(loads)
 
 
+def test_dst_loads_match_bincount_on_run_frontier(frontier):
+    # V = 500: none of these widths divides it.
+    for width in (3, 7, 128, 499, 501, 1000):
+        expected = np.bincount(frontier.edge_dst % width, minlength=width)
+        loads = frontier.dst_loads(width)
+        assert loads.dtype == expected.dtype
+        np.testing.assert_array_equal(loads, expected)
+
+
 _OBSERVER_FILES = (
     "graphdyns/timing.py",
     "dca/timing.py",

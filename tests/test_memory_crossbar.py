@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.memory import Crossbar, grouped_duplicate_count
+from repro.memory import Crossbar, crossbar, grouped_duplicate_count
 
 
 def _lexsort_reference(dst, group_width: int) -> int:
@@ -22,6 +22,17 @@ def _lexsort_reference(dst, group_width: int) -> int:
         sorted_dst[1:] == sorted_dst[:-1]
     )
     return int(np.count_nonzero(same))
+
+
+def _naive_count(dst, group_width: int) -> int:
+    """Oracle: ``len(g) - len(set(g))`` summed over the issue groups."""
+    values = np.asarray(dst).tolist()
+    return sum(
+        len(group) - len(set(group))
+        for group in (
+            values[i : i + group_width] for i in range(0, len(values), group_width)
+        )
+    )
 
 
 def _loads(dst, num_outputs: int) -> np.ndarray:
@@ -101,6 +112,48 @@ class TestGroupedDuplicates:
         dst = np.random.default_rng(seed).integers(0, values, size=groups * width + tail)
         dst = dst.tolist() if kind == "list" else dst.astype(kind)
         assert grouped_duplicate_count(dst, width) == _lexsort_reference(dst, width)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        width=st.one_of(
+            st.sampled_from([2, 8, 16, 17, 256, 300]), st.integers(1, 300)
+        ),
+        blocks=st.sampled_from([0, 1, 2]),
+        shift=st.integers(-1, 1),
+        tail=st.integers(0, 299),
+        ids=st.sampled_from(["small", "negative", "wide", "negative_wide", "wide_last"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=8, blocks=1, shift=0, tail=0, ids="small", seed=1)
+    @example(width=16, blocks=2, shift=-1, tail=5, ids="negative", seed=2)
+    @example(width=17, blocks=2, shift=1, tail=16, ids="wide", seed=3)
+    @example(width=256, blocks=1, shift=1, tail=255, ids="wide", seed=4)
+    @example(width=8, blocks=0, shift=1, tail=3, ids="negative_wide", seed=5)
+    @example(width=8, blocks=2, shift=0, tail=0, ids="wide_last", seed=6)
+    @example(width=300, blocks=2, shift=1, tail=7, ids="wide_last", seed=7)
+    def test_matches_naive_oracle_across_blocks(
+        self, width, blocks, shift, tail, ids, seed
+    ):
+        # Lengths sit on either side of the block boundaries (whole
+        # groups of ``_BLOCK_FLITS // width`` rows), with or without a
+        # tail.  Small negative ids still fit int32; ids at or beyond
+        # +-2**31 force the int64 scratch, from the first block that holds
+        # one (``wide_last``: only the last whole group).
+        block_rows = max(1, crossbar._BLOCK_FLITS // width)
+        groups = max(blocks * block_rows + shift, 0)
+        rng = np.random.default_rng(seed)
+        spread = int(rng.integers(1, 3 * width + 2))
+        dst = rng.integers(0, spread, size=groups * width + tail % width)
+        if ids == "negative":
+            dst = -1 - dst
+        elif ids == "wide":
+            dst = dst * (1 << 32) + (1 << 31)
+        elif ids == "negative_wide":
+            dst = -dst * (1 << 32) - (1 << 31) - 1
+        elif ids == "wide_last" and groups:
+            last = slice((groups - 1) * width, groups * width)
+            dst[last] = dst[last] * (1 << 32) + (1 << 31)
+        assert grouped_duplicate_count(dst, width) == _naive_count(dst, width)
 
     @pytest.mark.parametrize("width", [8, 256])
     def test_matches_reference_on_zipf_stream(self, width):

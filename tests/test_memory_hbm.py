@@ -89,6 +89,37 @@ class TestService:
         combined = HBMModel(HBM1_512GBS).service([_stream(1024), _stream(1024)])
         assert combined.cycles == pytest.approx(2 * one)
 
+    def test_pins_fixed_batch(self):
+        # Exact cycles and bytes of one mixed batch (a zero-byte pattern,
+        # sub-burst runs, a multi-row run): the per-pattern loop summed
+        # left to right, pinned to the last bit.
+        batch = [
+            AccessPattern(Region.OFFSET, 4096, 64.0, False),
+            AccessPattern(Region.EDGE, 123456, 2048.0, False),
+            AccessPattern(Region.VERTEX_PROP, 777, 8.0, True),
+            AccessPattern(Region.EDGE, 0, 8.0, False),
+            AccessPattern(Region.METADATA, 50000, 24.0, True),
+        ]
+        hbm = HBMModel(HBM1_512GBS)
+        result = hbm.service(batch)
+        assert result.cycles == 781.53076171875
+        assert result.ideal_cycles == 348.298828125
+        assert result.total_bytes == 178329
+        assert result.bytes_by_region == {
+            Region.OFFSET: 4096,
+            Region.EDGE: 123456,
+            Region.VERTEX_PROP: 777,
+            Region.METADATA: 50000,
+        }
+        assert hbm.service(batch[:2]).cycles == 270.48583984375
+        assert hbm.total_cycles == 1052.0166015625
+        assert (hbm.read_bytes, hbm.write_bytes) == (255104, 50777)
+        gpu = HBMModel(HBM2_900GBS).service(batch)
+        assert gpu.cycles == 472.12837275752315
+        assert gpu.ideal_cycles == 247.67916666666667
+        empty = HBMModel(HBM1_512GBS).service([])
+        assert (empty.cycles, empty.total_bytes, empty.bytes_by_region) == (0.0, 0, {})
+
     def test_reset(self):
         hbm = HBMModel(HBM1_512GBS)
         hbm.service([_stream(100)])
