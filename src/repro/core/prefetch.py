@@ -57,6 +57,28 @@ class PrefetchPlan:
         return sum(p.total_bytes for p in self.patterns)
 
 
+def _sorted_extents(
+    offsets: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The non-empty extents ``(offset, edgeCnt)``, in ascending offset order."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    keep = counts > 0
+    if not keep.all():
+        offsets, counts = offsets[keep], counts[keep]
+    if np.any(offsets[1:] < offsets[:-1]):  # the engine's frontiers are sorted
+        order = np.argsort(offsets, kind="stable")
+        offsets, counts = offsets[order], counts[order]
+    return offsets, counts
+
+
+def _run_breaks(offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per sorted extent: True where it does not touch the previous end."""
+    breaks = np.ones(offsets.size, dtype=bool)
+    breaks[1:] = offsets[1:] > offsets[:-1] + counts[:-1]
+    return breaks
+
+
 def coalesced_run_lengths(
     offsets: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
@@ -67,22 +89,25 @@ def coalesced_run_lengths(
     non-overlapping; extents that touch coalesce into one DRAM run -- the
     "coalesce memory accesses to edge data" of Section 5.2.1.
 
-    Returns the run lengths in edges.
+    Returns the run lengths in edges.  The plans only need how many runs
+    there are (``_coalesced_run_count``) and the edge total; this is
+    the reference they are tested against.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    keep = counts > 0
-    offsets, counts = offsets[keep], counts[keep]
+    offsets, counts = _sorted_extents(offsets, counts)
     if offsets.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if np.any(offsets[1:] < offsets[:-1]):  # the engine's frontiers are sorted
-        order = np.argsort(offsets, kind="stable")
-        offsets, counts = offsets[order], counts[order]
-    ends = offsets + counts
-    # A new run starts where this extent does not touch the previous end.
-    breaks = np.ones(offsets.size, dtype=bool)
-    breaks[1:] = offsets[1:] > ends[:-1]
-    return np.add.reduceat(counts, np.flatnonzero(breaks))
+    return np.add.reduceat(counts, np.flatnonzero(_run_breaks(offsets, counts)))
+
+
+def _coalesced_run_count(offsets: np.ndarray, counts: np.ndarray) -> int:
+    """``coalesced_run_lengths(offsets, counts).size``, without the lengths.
+
+    The runs partition the non-empty extents, so their mean length is the
+    edge total over this count -- exactly ``runs.mean()``, because a
+    float64 sum of integers below 2**53 is exact.
+    """
+    offsets, counts = _sorted_extents(offsets, counts)
+    return int(np.count_nonzero(_run_breaks(offsets, counts)))
 
 
 def plan_exact_prefetch(
@@ -113,10 +138,12 @@ def plan_exact_prefetch(
                 run_bytes=float(num_active * ACTIVE_RECORD_BYTES),
             )
         )
-    runs = coalesced_run_lengths(active_offsets, active_counts)
+    num_runs = _coalesced_run_count(active_offsets, active_counts)
     total_edges = int(np.asarray(active_counts, dtype=np.int64).sum())
     if total_edges:
-        mean_run_bytes = float(runs.mean()) * edge_bytes if runs.size else edge_bytes
+        mean_run_bytes = (
+            total_edges / num_runs * edge_bytes if num_runs else edge_bytes
+        )
         patterns.append(
             AccessPattern(
                 region=Region.EDGE,
@@ -127,7 +154,7 @@ def plan_exact_prefetch(
     return PrefetchPlan(
         patterns=tuple(patterns),
         edge_bytes=edge_bytes,
-        coalesced_runs=int(runs.size),
+        coalesced_runs=num_runs,
     )
 
 
@@ -178,8 +205,8 @@ def plan_baseline_fetch(
         # own physically adjacent edge lists, so the DRAM row buffer still
         # sees the merged runs (the sentinel overlaps into the next list).
         fetched_edges = total_edges + num_active
-        runs = coalesced_run_lengths(active_offsets, active_counts + 1)
-        mean_run = float(runs.mean()) if runs.size else 1.0
+        num_runs = _coalesced_run_count(active_offsets, active_counts + 1)
+        mean_run = fetched_edges / num_runs if num_runs else 1.0
         patterns.append(
             AccessPattern(
                 region=Region.EDGE,

@@ -26,6 +26,14 @@ engine keeps the frontier, its gathers and its memo instead of rebuilding
 them; that is a decision made from the spec, never from comparing arrays.
 Every array an observer sees is a read-only view.
 
+Lifetime rule: only a kept all-vertex frontier outlives its iteration.
+Every other iteration drops its edge-length streams -- the frontier's
+gathers, the weights, the Scatter results -- before the next frontier
+is built, so an engine holds at most one iteration's edge streams, as
+Algorithm 2 streams each active list's edges once.  An observer that
+keeps its own reference to an :class:`IterationData` keeps those arrays
+alive and still reads the same read-only values.
+
 There is one iteration loop; :func:`run_vcpm` and the destination-sharded
 :func:`repro.vcpm.partitioned.run_vcpm_partitioned` differ only in the
 Reduce step they hand it (a :data:`Fold`).
@@ -110,7 +118,9 @@ def _dst_histogram(frontier: "Frontier") -> np.ndarray:
 def _fold_dst_loads(frontier: "Frontier", width: int) -> np.ndarray:
     hist = frontier.memo(_dst_histogram)
     full = hist.size - hist.size % width
-    loads = hist[:full].reshape(-1, width).sum(axis=0)
+    # A contiguous einsum reduction: ``sum(axis=0)`` strides down the
+    # columns, several times slower at narrow widths (8-16 buckets).
+    loads = np.einsum("ij->j", hist[:full].reshape(-1, width))
     loads[: hist.size - full] += hist[full:]
     return _read_only(loads)
 
@@ -171,9 +181,9 @@ class Frontier:
 
         Equal to ``np.bincount(edge_dst % width, minlength=width)``
         (dtype included): the per-vertex histogram is computed once per
-        frontier, its whole rows of ``width`` buckets are summed over
-        axis 0 and the partial last row is added in place.  Each width's
-        fold is memoized too, and returned read-only.
+        frontier, its whole rows of ``width`` buckets are summed
+        column-wise and the partial last row is added in place.  Each
+        width's fold is memoized too, and returned read-only.
         """
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
@@ -369,7 +379,10 @@ def _scatter_inputs(
     The E-length edge index dies when this returns instead of staying
     alive until the next gather (for PR, the whole run).  Unweighted specs
     get ``None`` and skip the weight gather; the float64 cast keeps custom
-    ``process_edge`` math in float64.
+    ``process_edge`` math in float64.  The caller drops both results at
+    the end of the iteration unless the frontier is kept (the lifetime
+    rule in the module docstring), so the previous iteration's streams
+    are never alive while this one gathers.
     """
     edge_idx = gather_edge_indices(graph.offsets, active)
     frontier = Frontier(
@@ -490,16 +503,17 @@ def _iterate(
             with rec.span("vcpm.scatter", track="vcpm", **span_attrs):
                 if frontier is None:
                     frontier, edge_w = _scatter_inputs(graph, spec, active)
-                edge_dst = frontier.edge_dst
-                degrees = frontier.active_degrees
+                num_edges = frontier.num_edges
                 # The E-length source-property stream dies inside
                 # process_edge, before the Reduce step allocates.
                 results = spec.process_edge(
-                    np.repeat(prop[active], degrees), edge_w
+                    np.repeat(prop[active], frontier.active_degrees), edge_w
                 )
                 t_prop_before = t_prop.copy()
                 fold(frontier, results, t_prop, iteration)
+                del results
                 modified = np.flatnonzero(t_prop != t_prop_before)
+                del t_prop_before
 
             # ------------------------ Apply phase ------------------------
             with rec.span("vcpm.apply", track="vcpm"):
@@ -520,24 +534,27 @@ def _iterate(
             with rec.span("vcpm.observe", track="vcpm"):
                 for observer in observers:
                     observer.on_iteration(data)
+            del data
             if rec.enabled:
                 iter_span.annotate(
-                    edges=int(edge_dst.size),
+                    edges=num_edges,
                     modified=int(modified.size),
                     activated=int(activated.size),
                 )
                 rec.counter("vcpm.iterations").add()
                 rec.counter("vcpm.active_vertices").add(int(active.size))
-                rec.counter("vcpm.edges").add(int(edge_dst.size))
+                rec.counter("vcpm.edges").add(num_edges)
                 rec.counter("vcpm.modified").add(int(modified.size))
                 rec.counter("vcpm.activated").add(int(activated.size))
                 rec.histogram("vcpm.frontier_size").observe(int(active.size))
-                rec.histogram("vcpm.active_degree").observe_many(degrees)
+                rec.histogram("vcpm.active_degree").observe_many(
+                    frontier.active_degrees
+                )
         traces.append(
             IterationTrace(
                 iteration=iteration,
                 num_active=int(active.size),
-                num_edges=int(edge_dst.size),
+                num_edges=num_edges,
                 num_modified=int(modified.size),
                 num_activated=int(activated.size),
             )
@@ -553,9 +570,10 @@ def _iterate(
                 break
             if not all_active:
                 active = np.arange(num_vertices, dtype=np.int64)
-                all_active, frontier = True, None
+                all_active, frontier, edge_w = True, None, None
         else:
-            active, frontier = activated, None
+            # Drop this iteration's edge streams before the next gather.
+            active, frontier, edge_w = activated, None, None
             if active.size == 0:
                 converged = True
                 break

@@ -15,7 +15,9 @@ keys gives an ``order`` array, and the per-vertex destination histogram
 gives the segment cut points.  Each segment is then one contiguous run
 ``order[cuts[k]:cuts[k + 1]]`` of the stream, which ``process_edge``
 has already mapped to results once, so a shard costs O(its edges)
-instead of a pass over the whole stream.
+instead of a pass over the whole stream.  Both the sort and the fold go
+block by block, so the grouping adds one edge-length array to the
+iteration's streams: ``order``, 4 bytes per edge.
 
 Why this is safe (the byte-identical invariant): shards partition the
 destination space, so each shard owns a disjoint segment of ``t_prop``
@@ -85,6 +87,12 @@ class _SegmentTable:
         )
 
 
+#: Edges grouped per block: a block's keys and sort order are the
+#: grouping's only transients, so ``order`` (4 bytes per edge) is its one
+#: edge-length array.
+_GROUP_BLOCK = 1 << 16
+
+
 def _group_by_segment(
     frontier: Frontier, table: _SegmentTable
 ) -> Tuple[np.ndarray, Tuple[int, ...]]:
@@ -92,15 +100,30 @@ def _group_by_segment(
 
     ``order[cuts[k]:cuts[k + 1]]`` are the positions in
     ``frontier.edge_dst`` of the edges landing in segment ``k``, in
-    traversal order (the sort is stable).
+    traversal order: each block of the stream is sorted stably by key and
+    its runs are appended to their segments, which is the stable sort of
+    the whole stream without its edge-length keys and ``intp`` order.
     """
-    keys = table.key_of[frontier.edge_dst]
-    order = np.argsort(keys, kind="stable")
-    del keys
-    if order.size < 2**31:
-        order = order.astype(np.int32)
+    edge_dst = frontier.edge_dst
     ends = np.concatenate(([0], np.cumsum(frontier.memo(_dst_histogram))))
-    return _read_only(order), tuple(ends[table.bounds].tolist())
+    cuts = ends[table.bounds].tolist()
+    order = np.empty(
+        edge_dst.size, dtype=np.int32 if edge_dst.size < 2**31 else np.int64
+    )
+    fill = cuts[:-1]  # next free position of each segment
+    later_keys = np.arange(1, table.num_segments, dtype=table.key_of.dtype)
+    for lo in range(0, edge_dst.size, _GROUP_BLOCK):
+        keys = table.key_of[edge_dst[lo:lo + _GROUP_BLOCK]]
+        local = np.argsort(keys, kind="stable")
+        # Segment k's run of the sorted block is runs[k]:runs[k + 1],
+        # searched in the key dtype (np.bincount would cast keys to intp).
+        runs = [0, *np.searchsorted(keys[local], later_keys).tolist(), keys.size]
+        local += lo
+        for k in range(table.num_segments):
+            run = local[runs[k]:runs[k + 1]]
+            order[fill[k]:fill[k] + run.size] = run
+            fill[k] += run.size
+    return _read_only(order), tuple(cuts)
 
 
 def _sharded_fold(
@@ -123,9 +146,11 @@ def _sharded_fold(
                 iteration=iteration,
             ):
                 if grouped:
+                    # Block by block: ufunc.at folds in order, so the
+                    # blocks fold exactly as one call would.
                     for k in segments:
-                        if cuts[k] < cuts[k + 1]:
-                            idx = order[cuts[k]:cuts[k + 1]]
+                        for lo in range(cuts[k], cuts[k + 1], _GROUP_BLOCK):
+                            idx = order[lo:min(lo + _GROUP_BLOCK, cuts[k + 1])]
                             ufunc.at(
                                 t_prop, edge_dst.take(idx), results.take(idx)
                             )

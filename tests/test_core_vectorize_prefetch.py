@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    ACTIVE_RECORD_BYTES,
     EDGE_BYTES_EXACT,
     EDGE_BYTES_WITH_SRC,
+    PrefetchPlan,
     coalesced_run_lengths,
     plan_baseline_fetch,
     plan_exact_prefetch,
     simt_issue_slots,
     vectorize_workloads,
 )
-from repro.memory import Region
+from repro.memory import AccessPattern, Region
 
 
 class TestVectorize:
@@ -137,3 +141,72 @@ class TestBaselineFetch:
     def test_empty_frontier(self):
         base = plan_baseline_fetch(np.array([]), np.array([]))
         assert base.total_bytes == 0
+
+
+def _plans_from_run_lengths(offsets, counts, weighted):
+    """Both plans with each mean run read off ``coalesced_run_lengths``."""
+    num_active, total = counts.size, int(counts.sum())
+    edge_bytes = EDGE_BYTES_EXACT if weighted else EDGE_BYTES_EXACT // 2
+    runs = coalesced_run_lengths(offsets, counts)
+    patterns = []
+    if num_active:
+        record = num_active * ACTIVE_RECORD_BYTES
+        patterns.append(AccessPattern(Region.ACTIVE_VERTEX, record, float(record)))
+    if total:
+        run_bytes = float(runs.mean()) * edge_bytes if runs.size else edge_bytes
+        patterns.append(AccessPattern(Region.EDGE, total * edge_bytes, run_bytes))
+    exact = PrefetchPlan(tuple(patterns), edge_bytes, int(runs.size))
+
+    edge_bytes = EDGE_BYTES_WITH_SRC if weighted else EDGE_BYTES_WITH_SRC - 4
+    patterns = []
+    if num_active:
+        patterns.append(
+            AccessPattern(Region.ACTIVE_VERTEX, num_active * 8, float(num_active * 8))
+        )
+        runs = coalesced_run_lengths(offsets, counts + 1)
+        mean_run = float(runs.mean()) if runs.size else 1.0
+        patterns.append(
+            AccessPattern(
+                Region.EDGE, (total + num_active) * edge_bytes, mean_run * edge_bytes
+            )
+        )
+    baseline = PrefetchPlan(tuple(patterns), edge_bytes, num_active)
+    return exact, baseline
+
+
+@st.composite
+def _extents(draw):
+    """``(offsets, counts)``: packed, gapped, shuffled or random extents."""
+    counts = np.asarray(
+        draw(st.lists(st.integers(0, 40), max_size=60)), dtype=np.int64
+    )
+    layout = draw(st.sampled_from(["packed", "gapped", "shuffled", "random"]))
+    if layout == "random":  # unsorted, possibly overlapping
+        offsets = draw(
+            st.lists(st.integers(0, 500), min_size=counts.size, max_size=counts.size)
+        )
+        return np.asarray(offsets, dtype=np.int64), counts
+    gaps = np.zeros(counts.size, dtype=np.int64)
+    if layout != "packed":
+        gaps = np.asarray(
+            draw(st.lists(st.integers(0, 3), min_size=counts.size, max_size=counts.size)),
+            dtype=np.int64,
+        )
+    offsets = np.cumsum(counts + gaps) - counts
+    if layout == "shuffled":
+        order = np.asarray(draw(st.permutations(range(counts.size))), dtype=np.int64)
+        offsets, counts = offsets[order], counts[order]
+    return offsets, counts
+
+
+class TestRunCountPlans:
+    """The plans count run breaks; the run lengths are only the reference."""
+
+    @given(_extents(), st.booleans())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_match_plans_from_run_lengths(self, extents, weighted):
+        offsets, counts = extents
+        exact, baseline = _plans_from_run_lengths(offsets, counts, weighted)
+        # repr, not ==: the run lengths must agree bit for bit.
+        assert repr(plan_exact_prefetch(offsets, counts, weighted)) == repr(exact)
+        assert repr(plan_baseline_fetch(offsets, counts, weighted)) == repr(baseline)

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.core import frontier_stats
+from repro.graph import power_law_graph
 from repro.vcpm import ALGORITHMS, run_vcpm
 
 #: Every shared statistic with the arguments an observer passes.
@@ -46,16 +47,20 @@ def _assert_immutable(value, path="value"):
         _assert_immutable(getattr(value, field.name), f"{path}.{field.name}")
 
 
-@pytest.fixture(scope="module")
-def frontier(small_powerlaw):
+def _largest_sssp_frontier(graph):
     seen = []
 
     class Probe:
         def on_iteration(self, data):
             seen.append(data.frontier)
 
-    run_vcpm(small_powerlaw, ALGORITHMS["SSSP"], source=0, observers=[Probe()])
+    run_vcpm(graph, ALGORITHMS["SSSP"], source=0, observers=[Probe()])
     return max(seen, key=lambda f: f.num_edges)
+
+
+@pytest.fixture(scope="module")
+def frontier(small_powerlaw):
+    return _largest_sssp_frontier(small_powerlaw)
 
 
 @pytest.mark.parametrize(
@@ -74,13 +79,24 @@ def test_dst_loads_are_read_only(frontier):
         _assert_immutable(loads)
 
 
-def test_dst_loads_match_bincount_on_run_frontier(frontier):
-    # V = 500: none of these widths divides it.
-    for width in (3, 7, 128, 499, 501, 1000):
-        expected = np.bincount(frontier.edge_dst % width, minlength=width)
-        loads = frontier.dst_loads(width)
-        assert loads.dtype == expected.dtype
-        np.testing.assert_array_equal(loads, expected)
+@pytest.fixture(scope="module")
+def wide_frontier():
+    """V = 65,539 (prime): no width divides it."""
+    return _largest_sssp_frontier(power_law_graph(65_539, 262_144, seed=5))
+
+
+def test_dst_loads_match_bincount_on_run_frontier(frontier, wide_frontier):
+    # V = 500 and V = 65,539: none of these widths divides either.
+    cases = [
+        (frontier, (3, 7, 128, 499, 501, 1000)),
+        (wide_frontier, (8, 16, 128, 256)),
+    ]
+    for run_frontier, widths in cases:
+        for width in widths:
+            expected = np.bincount(run_frontier.edge_dst % width, minlength=width)
+            loads = run_frontier.dst_loads(width)
+            assert loads.dtype == expected.dtype
+            np.testing.assert_array_equal(loads, expected)
 
 
 _OBSERVER_FILES = (

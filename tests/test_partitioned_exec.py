@@ -7,6 +7,7 @@ properties, traces, convergence, and the canonical report JSON the
 harness derives from them.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.graph import CSRGraph, datasets
 from repro.graph.generators import power_law_graph, uniform_random_graph
+from repro.graph.slicing import plan_partitions
 from repro.vcpm import (
     ALGORITHMS,
     run_vcpm,
@@ -205,6 +207,47 @@ class TestFrontierReuse:
         )
         assert len({id(f) for f in frontiers}) == len(frontiers) > 1
         assert groupings == frontiers
+
+
+class TestBlockedGrouping:
+    """Grouping and folding block by block equal the whole-stream versions."""
+
+    @pytest.mark.parametrize("vb", [None, 12])
+    @pytest.mark.parametrize("block", [3, 64, 1 << 16])
+    def test_order_is_the_stable_sort_of_the_stream(
+        self, small_powerlaw, monkeypatch, block, vb
+    ):
+        monkeypatch.setattr(partitioned, "_GROUP_BLOCK", block)
+        table = partitioned._SegmentTable(
+            plan_partitions(small_powerlaw.num_vertices, 3), vb, 4
+        )
+        frontiers = TestFrontierReuse._frontiers(run_vcpm, small_powerlaw, "SSSP")
+        for frontier in frontiers:
+            order, cuts = partitioned._group_by_segment(frontier, table)
+            keys = table.key_of[frontier.edge_dst]
+            np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+            assert order.dtype == np.int32
+            assert not order.flags.writeable
+            expected_cuts = np.searchsorted(
+                np.sort(keys), np.arange(table.num_segments + 1)
+            )
+            assert cuts == tuple(expected_cuts.tolist())
+
+    @pytest.mark.parametrize("algo", ["SSSP", "PR"])
+    @pytest.mark.parametrize("block", [3, 7])
+    def test_blocked_fold_keeps_bytes(self, small_powerlaw, monkeypatch, algo, block):
+        # PR's float sums are order-sensitive: the blocks must fold in order.
+        baseline = run_vcpm(small_powerlaw, ALGORITHMS[algo], source=0)
+        monkeypatch.setattr(partitioned, "_GROUP_BLOCK", block)
+        for vb in (None, 12):
+            result = run_vcpm_partitioned(
+                small_powerlaw,
+                ALGORITHMS[algo],
+                shards=3,
+                vb_capacity_bytes=vb,
+                source=0,
+            )
+            _bitwise_equal(baseline, result)
 
 
 class TestShardObservability:

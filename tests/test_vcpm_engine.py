@@ -278,6 +278,31 @@ class TestObservers:
             ):
                 assert not getattr(data, name).flags.writeable, name
 
+    @pytest.mark.parametrize("name", ["SSSP", "CC", "PR"])
+    @pytest.mark.parametrize(
+        "run", [run_vcpm, run_vcpm_partitioned], ids=lambda f: f.__name__
+    )
+    def test_stored_iterations_keep_their_edge_streams(
+        self, small_powerlaw, run, name
+    ):
+        # The engine drops each iteration's streams; an observer that
+        # keeps the IterationData keeps them, unchanged and read-only.
+        graph = small_powerlaw
+        kept, copies = [], []
+
+        class Keeper:
+            def on_iteration(self, data):
+                kept.append(data)
+                copies.append(data.edge_dst.copy())
+
+        run(graph, ALGORITHMS[name], source=0, observers=[Keeper()])
+        assert len(kept) >= 2
+        for data, copy in zip(kept, copies):
+            idx = gather_edge_indices(graph.offsets, data.active_ids)
+            np.testing.assert_array_equal(data.edge_dst, graph.edges[idx])
+            np.testing.assert_array_equal(data.edge_dst, copy)
+            assert not data.edge_dst.flags.writeable
+
 
 def _iteration(edge_dst, num_vertices) -> IterationData:
     empty = np.zeros(0, dtype=np.int64)
