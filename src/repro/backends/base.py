@@ -21,6 +21,7 @@ energy hookup.  Adding a fourth system is one adapter class plus one
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -101,6 +102,18 @@ class BaseBackend:
 
     def energy(self, report: RunReport) -> EnergyReport:
         raise NotImplementedError
+
+    def labelled(self, label: str) -> "BaseBackend":
+        """A copy of this backend displayed as ``name[label]``.
+
+        Lets one service run several configs of one system side by side
+        (Fig. 14's ablation, UE and buffer-scaling studies): the label
+        keeps the names in ``CellResult.reports`` unique, and through
+        ``RunRequest.backends`` it keeps the cache addresses distinct.
+        """
+        twin = copy.copy(self)
+        twin.name = f"{self.name}[{label}]"
+        return twin
 
     def run(
         self,

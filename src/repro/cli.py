@@ -732,11 +732,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         sorted(_FIGURES) if "all" in args.names else args.names
     )
     service = _service_from_args(args)
-    if args.jobs > 1 and any(n in MATRIX_BUILDERS for n in names):
-        service.matrix()  # resolve all cells in parallel up front
     for name in names:
         fn = _FIGURES[name]
-        result = fn(service) if name in MATRIX_BUILDERS else fn()
+        result = fn(service=service) if name in MATRIX_BUILDERS else fn()
         print(result.render())
         print()
     return 0
@@ -800,10 +798,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .harness.report import generate_experiments_md
 
-    service = _service_from_args(args)
-    if args.jobs > 1:
-        service.matrix()
-    content = generate_experiments_md(service)
+    content = generate_experiments_md(_service_from_args(args))
     with open(args.output, "w") as handle:
         handle.write(content)
     print(f"wrote {args.output} ({len(content.splitlines())} lines)")

@@ -9,21 +9,21 @@ the paper's numbers.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..backends.builtin import GraphDynSBackend, GraphicionadoBackend
 from ..core.scheduling import balanced_dispatch
 from ..energy.components import GRAPHDYNS_BUDGET
 from ..graph import datasets
 from ..graph.properties import DEGREE_INTERVALS, degree_interval_counts
+from ..graph.slicing import plan_slices
 from ..graphdyns.config import DEFAULT_CONFIG
-from ..graphdyns.timing import GraphDynSTimingModel
-from ..graphicionado.timing import GraphicionadoTimingModel
+from ..graphicionado.config import GRAPHICIONADO_CONFIG
 from ..vcpm.algorithms import algorithm_names, get_algorithm
 from ..vcpm.engine import IterationData, run_vcpm
-from .service import REAL_WORLD_KEYS, RunService
+from .service import REAL_WORLD_KEYS, CellResult, RunService
 from .io import geomean, render_table
 
 __all__ = [
@@ -132,6 +132,10 @@ def figure2(
     The paper plots SSSP on Flickr: degree skew within every iteration
     (workload irregularity) and few updates relative to vertex count
     (update irregularity; 76% of iterations update <10% of vertices).
+
+    Drives the engine directly rather than reading a cached cell: it
+    reads each iteration's active-degree array, which no ``RunReport``
+    carries.
     """
     graph = datasets.load(graph_key)
     spec = get_algorithm(algorithm)
@@ -166,10 +170,10 @@ def _matrix_figure(
     graph_keys = list(graph_keys or REAL_WORLD_KEYS)
     rows: List[List[object]] = []
     series: Dict[str, List[float]] = {h: [] for h in value_headers}
+    cells = iter(service.matrix(algorithms, graph_keys))
     for algorithm in algorithms:
         for graph_key in graph_keys:
-            cell = service.cell(algorithm, graph_key)
-            values = cell_values(cell)
+            values = cell_values(next(cells))
             rows.append([algorithm, graph_key, *values])
             for header, value in zip(value_headers, values):
                 series[header].append(value)
@@ -282,10 +286,10 @@ def figure10(
     components = ["Prefetcher", "Dispatcher", "Processor", "Updater", "HBM"]
     rows: List[List[object]] = []
     series: Dict[str, List[float]] = {c: [] for c in components}
+    cells = iter(service.matrix(algorithms, graph_keys))
     for algorithm in algorithms:
         for graph_key in graph_keys:
-            cell = service.cell(algorithm, graph_key)
-            breakdown = cell.energy["GraphDynS"].breakdown()
+            breakdown = next(cells).energy["GraphDynS"].breakdown()
             values = [100.0 * breakdown.get(c, 0.0) for c in components]
             rows.append([algorithm, graph_key, *values])
             for c, v in zip(components, values):
@@ -375,23 +379,27 @@ def figure13(
 # Fig. 14 -- scheduling-optimization and scalability studies
 # ----------------------------------------------------------------------
 def figure14a(
-    graph_key: str = "LJ", algorithms: Optional[Sequence[str]] = None
+    graph_key: str = "LJ",
+    algorithms: Optional[Sequence[str]] = None,
+    *,
+    service: Optional[RunService] = None,
 ) -> FigureResult:
     """Scheduling-operation reduction from coarse-grained dispatch (~94%).
 
     Baseline: one scheduling decision per edge (fine-grained streaming).
-    GraphDynS: one decision per whole small list / per sub-list.
+    GraphDynS: one decision per whole small list / per sub-list.  Both
+    counts are fields of the matrix cells' GraphDynS reports.
     """
+    service = service or RunService()
     algorithms = list(algorithms or algorithm_names())
-    graph = datasets.load(graph_key)
     rows: List[List[object]] = []
     reductions: List[float] = []
-    for algorithm in algorithms:
-        spec = get_algorithm(algorithm)
-        model = GraphDynSTimingModel(graph, spec)
-        result = run_vcpm(graph, spec, source=0, observers=[model])
-        fine_grained = result.total_edges_processed
-        coarse = model.scheduling_ops
+    for algorithm, cell in zip(
+        algorithms, service.matrix(algorithms, [graph_key])
+    ):
+        report = cell.reports["GraphDynS"]
+        fine_grained = report.edges_processed
+        coarse = report.scheduling_ops
         reduction = 100.0 * (1.0 - coarse / max(fine_grained, 1))
         rows.append([algorithm, fine_grained, coarse, reduction])
         reductions.append(reduction)
@@ -433,7 +441,11 @@ class _Fig14bObserver:
 def figure14b(
     graph_key: str = "LJ", algorithm: str = "SSWP"
 ) -> FigureResult:
-    """Normalized per-PE workload in the heaviest iterations (~1.0)."""
+    """Normalized per-PE workload in the heaviest iterations (~1.0).
+
+    Drives the engine directly, as Fig. 2 does: it reads each iteration's
+    active-degree array, which no ``RunReport`` carries.
+    """
     graph = datasets.load(graph_key)
     spec = get_algorithm(algorithm)
     observer = _Fig14bObserver()
@@ -461,44 +473,47 @@ ABLATION_STEPS: List[Tuple[str, Dict[str, bool]]] = [
 ]
 
 
-@functools.lru_cache(maxsize=64)
-def _ablation_reports(graph_key: str, algorithm: str):
-    """Graphicionado + the four ablation configs, one functional run.
+def _ablation_cells(
+    service: Optional[RunService],
+    graph_key: str,
+    algorithms: Sequence[str],
+) -> List[CellResult]:
+    """Graphicionado plus ``GraphDynS[<step>]`` per ablation step.
 
-    Memoized: Figs. 14c and 14d share these runs.
+    Figs. 14c and 14d read the same sibling service, so they share one
+    functional run per algorithm.
     """
-    graph = datasets.load(graph_key)
-    spec = get_algorithm(algorithm)
-    baseline = GraphicionadoTimingModel(graph, spec)
-    ablations = {
-        label: GraphDynSTimingModel(
-            graph, spec, DEFAULT_CONFIG.with_ablation(**switches)
-        )
-        for label, switches in ABLATION_STEPS
-    }
-    run_vcpm(
-        graph,
-        spec,
-        source=0,
-        observers=[baseline, *ablations.values()],
+    ablation = (service or RunService()).with_backends(
+        [
+            GraphicionadoBackend(),
+            *[
+                GraphDynSBackend(
+                    DEFAULT_CONFIG.with_ablation(**switches)
+                ).labelled(label)
+                for label, switches in ABLATION_STEPS
+            ],
+        ]
     )
-    return baseline.report(), {
-        label: model.report() for label, model in ablations.items()
-    }
+    return ablation.matrix(algorithms, [graph_key])
 
 
 def figure14c(
-    graph_key: str = "LJ", algorithms: Optional[Sequence[str]] = None
+    graph_key: str = "LJ",
+    algorithms: Optional[Sequence[str]] = None,
+    *,
+    service: Optional[RunService] = None,
 ) -> FigureResult:
     """Ablation speedups vs Graphicionado (paper GM: WE 1.39, WEA 1.57, WEAU 1.8)."""
     algorithms = list(algorithms or algorithm_names())
     rows: List[List[object]] = []
     series: Dict[str, List[float]] = {label: [] for label, _ in ABLATION_STEPS}
-    for algorithm in algorithms:
-        base, reports = _ablation_reports(graph_key, algorithm)
+    for algorithm, cell in zip(
+        algorithms, _ablation_cells(service, graph_key, algorithms)
+    ):
+        base = cell.reports["Graphicionado"]
         values = []
         for label, _ in ABLATION_STEPS:
-            speedup = reports[label].speedup_over(base)
+            speedup = cell.reports[f"GraphDynS[{label}]"].speedup_over(base)
             values.append(speedup)
             series[label].append(speedup)
         rows.append([algorithm, *values])
@@ -513,23 +528,25 @@ def figure14c(
 
 
 def figure14d(
-    graph_key: str = "LJ", algorithms: Optional[Sequence[str]] = None
+    graph_key: str = "LJ",
+    algorithms: Optional[Sequence[str]] = None,
+    *,
+    service: Optional[RunService] = None,
 ) -> FigureResult:
     """Off-chip access reduction from EP (~30%) and US (~18%)."""
     algorithms = list(algorithms or algorithm_names())
     rows: List[List[object]] = []
     ep_series: List[float] = []
     us_series: List[float] = []
-    for algorithm in algorithms:
-        _, reports = _ablation_reports(graph_key, algorithm)
-        ep = 100.0 * (
-            1.0 - reports["WE"].total_traffic_bytes
-            / max(reports["WB"].total_traffic_bytes, 1)
-        )
-        us = 100.0 * (
-            1.0 - reports["WEAU"].total_traffic_bytes
-            / max(reports["WEA"].total_traffic_bytes, 1)
-        )
+    for algorithm, cell in zip(
+        algorithms, _ablation_cells(service, graph_key, algorithms)
+    ):
+        traffic = {
+            label: cell.reports[f"GraphDynS[{label}]"].total_traffic_bytes
+            for label, _ in ABLATION_STEPS
+        }
+        ep = 100.0 * (1.0 - traffic["WE"] / max(traffic["WB"], 1))
+        us = 100.0 * (1.0 - traffic["WEAU"] / max(traffic["WEA"], 1))
         rows.append([algorithm, ep, us])
         ep_series.append(ep)
         us_series.append(us)
@@ -547,28 +564,26 @@ def figure14e(
     graph_key: str = "LJ",
     algorithms: Optional[Sequence[str]] = None,
     ue_counts: Sequence[int] = (256, 128, 64, 32),
+    *,
+    service: Optional[RunService] = None,
 ) -> FigureResult:
     """Performance vs number of UEs, normalized to 128 (PR/CC degrade most)."""
     algorithms = list(algorithms or algorithm_names())
-    graph = datasets.load(graph_key)
-    rows: List[List[object]] = []
-    for algorithm in algorithms:
-        spec = get_algorithm(algorithm)
-        models = {
-            n: GraphDynSTimingModel(
-                graph, spec, DEFAULT_CONFIG.with_num_ues(n)
-            )
+    scaling = (service or RunService()).with_backends(
+        [
+            GraphDynSBackend(DEFAULT_CONFIG.with_num_ues(n)).labelled(str(n))
             for n in ue_counts
-        }
-        run_vcpm(graph, spec, source=0, observers=list(models.values()))
-        baseline_cycles = models[128].total_cycles
+        ]
+    )
+    rows: List[List[object]] = []
+    for algorithm, cell in zip(
+        algorithms, scaling.matrix(algorithms, [graph_key])
+    ):
+        cycles = {n: cell.reports[f"GraphDynS[{n}]"].cycles for n in ue_counts}
         rows.append(
             [
                 algorithm,
-                *[
-                    100.0 * baseline_cycles / max(models[n].total_cycles, 1e-9)
-                    for n in ue_counts
-                ],
+                *[100.0 * cycles[128] / max(cycles[n], 1e-9) for n in ue_counts],
             ]
         )
     return FigureResult(
@@ -581,6 +596,8 @@ def figure14e(
 def figure14f(
     rmat_keys: Sequence[str] = ("RM22", "RM23", "RM24", "RM25", "RM26"),
     algorithm: str = "PR",
+    *,
+    service: Optional[RunService] = None,
 ) -> FigureResult:
     """PR throughput across the RMAT scaling suite.
 
@@ -590,34 +607,41 @@ def figure14f(
     proxies are 1024x smaller than the paper's scales 22-26 (DESIGN.md), so
     both buffer capacities are scaled by the same factor to stay in the
     same slicing regime.
+
+    V and E come from the dataset registry, which for the RMAT proxies
+    equals the built graph's sizes; the slice counts come from
+    :func:`~repro.graph.slicing.plan_slices`, the call the timing models
+    make.  No graph is built when every cell is cached.
     """
     scale_factor = 1024
     gds_config = dataclasses.replace(
         DEFAULT_CONFIG,
         vb_bytes_per_ue=max(DEFAULT_CONFIG.vb_bytes_per_ue // scale_factor, 64),
     )
-    from ..graphicionado.config import GRAPHICIONADO_CONFIG
-
     gio_config = dataclasses.replace(
         GRAPHICIONADO_CONFIG,
         edram_bytes=max(GRAPHICIONADO_CONFIG.edram_bytes // scale_factor, 128),
     )
+    label = f"VB/{scale_factor}"
+    scaled = (service or RunService()).with_backends(
+        [
+            GraphDynSBackend(gds_config).labelled(label),
+            GraphicionadoBackend(gio_config).labelled(label),
+        ]
+    )
     rows: List[List[object]] = []
-    for key in rmat_keys:
-        graph = datasets.load(key)
-        spec = get_algorithm(algorithm)
-        gds = GraphDynSTimingModel(graph, spec, gds_config)
-        gio = GraphicionadoTimingModel(graph, spec, gio_config)
-        run_vcpm(graph, spec, source=0, observers=[gds, gio])
+    for key, cell in zip(rmat_keys, scaled.matrix([algorithm], rmat_keys)):
+        spec = datasets.get_spec(key)
+        num_vertices = spec.proxy_vertices
         rows.append(
             [
                 key,
-                graph.num_vertices,
-                graph.num_edges,
-                gds.report().gteps,
-                gio.report().gteps,
-                gds.slice_plan.num_slices,
-                gio.slice_plan.num_slices,
+                num_vertices,
+                spec.proxy_edges,
+                cell.reports[f"GraphDynS[{label}]"].gteps,
+                cell.reports[f"Graphicionado[{label}]"].gteps,
+                plan_slices(num_vertices, gds_config.vb_total_bytes).num_slices,
+                plan_slices(num_vertices, gio_config.vb_capacity_bytes).num_slices,
             ]
         )
     return FigureResult(

@@ -348,7 +348,7 @@ def build_outputs(
     for output in spec.outputs:
         builder = OUTPUT_BUILDERS[output.builder]
         if output.builder in MATRIX_BUILDERS:
-            results[output.name] = builder(service)
+            results[output.name] = builder(service=service)
         else:
             results[output.name] = builder()
     return results

@@ -1,7 +1,9 @@
 """EXPERIMENTS.md generator: paper-reported vs measured, per table/figure.
 
-Runs the complete evaluation (the 5x6 matrix, the ablations, the scaling
-studies) and emits a markdown report with one section per paper artifact.
+Reads the evaluation (the 5x6 matrix, the ablations, the scaling
+studies) through one :class:`~repro.harness.service.RunService` and its
+sibling services, so a warm cache serves every per-cell number, and
+emits a markdown report with one section per paper artifact.
 Regenerate with::
 
     python -m repro report -o EXPERIMENTS.md
@@ -64,7 +66,7 @@ def _gm_row(result: FigureResult) -> List[object]:
 
 
 def build_report(service: Optional[RunService] = None) -> List[ExperimentRecord]:
-    """Run everything and produce the record list (slow: several minutes)."""
+    """Every artifact's record, with per-cell numbers read through ``service``."""
     service = service or RunService()
     records: List[ExperimentRecord] = []
 
@@ -245,7 +247,7 @@ def build_report(service: Optional[RunService] = None) -> List[ExperimentRecord]
         )
     )
 
-    fig14a = figure14a("LJ")
+    fig14a = figure14a("LJ", service=service)
     records.append(
         ExperimentRecord(
             artifact="Fig. 14a — scheduling reduction",
@@ -268,7 +270,7 @@ def build_report(service: Optional[RunService] = None) -> List[ExperimentRecord]
         )
     )
 
-    fig14c = figure14c("LJ")
+    fig14c = figure14c("LJ", service=service)
     gm14c = _gm_row(fig14c)
     records.append(
         ExperimentRecord(
@@ -284,7 +286,7 @@ def build_report(service: Optional[RunService] = None) -> List[ExperimentRecord]
         )
     )
 
-    fig14d = figure14d("LJ")
+    fig14d = figure14d("LJ", service=service)
     mean14d = _gm_row(fig14d)
     records.append(
         ExperimentRecord(
@@ -298,7 +300,7 @@ def build_report(service: Optional[RunService] = None) -> List[ExperimentRecord]
         )
     )
 
-    fig14e = figure14e("LJ")
+    fig14e = figure14e("LJ", service=service)
     records.append(
         ExperimentRecord(
             artifact="Fig. 14e — UE scaling",
@@ -311,7 +313,7 @@ def build_report(service: Optional[RunService] = None) -> List[ExperimentRecord]
         )
     )
 
-    fig14f = figure14f()
+    fig14f = figure14f(service=service)
     records.append(
         ExperimentRecord(
             artifact="Fig. 14f — RMAT scaling",

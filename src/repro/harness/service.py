@@ -496,6 +496,14 @@ class RunService:
             self.backends: List[Backend] = list(backends)
         else:
             self.backends = default_backends(backend_configs)
+        names = self.backend_names
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(
+                    f"backend name {name!r} appears more than once; give "
+                    "each config of one system its own label with "
+                    "backend.labelled(...)"
+                )
         self.executor = executor
         self.storage = storage
         self.shards = int(shards)
@@ -516,6 +524,40 @@ class RunService:
         self._manifest: Optional[RunManifest] = None
         self._cells: Dict[Tuple[str, str], CellResult] = {}
         self._lock = threading.Lock()
+        self._siblings: Dict[Tuple[Tuple[str, str], ...], RunService] = {}
+
+    def with_backends(self, backends: Sequence[Backend]) -> "RunService":
+        """A sibling service that runs ``backends`` in place of this one's.
+
+        The sibling shares this service's cache dir, ``use_cache``, jobs,
+        executor, storage, shards, retry policy, default source and
+        :attr:`stats`, but not its manifest.  Siblings are memoized by
+        their ``(name, digest)`` tuple, so two figures over one backend
+        set (Figs. 14c and 14d) share one functional run per cell even
+        without a persistent cache.
+        """
+        backends = list(backends)
+        key = tuple((b.name, b.config_digest()) for b in backends)
+        with self._lock:
+            sibling = self._siblings.get(key)
+            if sibling is None:
+                sibling = RunService(
+                    backends,
+                    default_source=self.default_source,
+                    cache_dir=self.cache_dir,
+                    use_cache=self.use_cache,
+                    jobs=self.jobs,
+                    executor=self.executor,
+                    storage=self.storage,
+                    shards=self.shards,
+                    policy=self.policy,
+                    sleep=self._sleep,
+                )
+                sibling.stats = self.stats
+                sibling._lock = self._lock
+                sibling._siblings = self._siblings
+                self._siblings[key] = sibling
+        return sibling
 
     # ------------------------------------------------------------------
     # Request / key plumbing

@@ -750,11 +750,14 @@ class _Builders(Mapping):
 #: Named table/figure builders a spec ``outputs`` clause may reference.
 OUTPUT_BUILDERS: Mapping = _Builders()
 
-#: The builders that read the evaluation matrix; they take the
-#: :class:`~repro.harness.service.RunService` to read it through.  Every
-#: other builder takes no argument.
+#: The builders that read run-service cells; they take the
+#: :class:`~repro.harness.service.RunService` to read them through as
+#: the ``service`` keyword.  Every other builder takes no argument.
 MATRIX_BUILDERS = frozenset(
-    {"fig6", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13"}
+    {
+        "fig6", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13",
+        "fig14a", "fig14c", "fig14d", "fig14e", "fig14f",
+    }
 )
 
 
@@ -1055,14 +1058,20 @@ def spec_from_dict(
     description = data.get("description", "")
     _expect(ctx, ("description",), description, (str,), "a description")
 
+    backend_names = _string_tuple(
+        ctx, ("backends",), data.get("backends"), "a backend name"
+    )
     backends = tuple(
         _validate_backend(ctx, ("backends", i), b)
-        for i, b in enumerate(
-            _string_tuple(
-                ctx, ("backends",), data.get("backends"), "a backend name"
-            )
-        )
+        for i, b in enumerate(backend_names)
     )
+    for i, key in enumerate(backends):
+        if key in backends[:i]:
+            raise ctx.fail(
+                ("backends", i),
+                f"backend {backend_names[i]!r} duplicates "
+                f"backends[{backends.index(key)}]; list each backend once",
+            )
     algorithms = tuple(
         _validate_algorithm(ctx, ("algorithms", i), a)
         for i, a in enumerate(

@@ -61,6 +61,8 @@ class _FrontierCollector:
 
 
 def _collect(graph_key: str, algorithm: str) -> _FrontierCollector:
+    """One direct engine run: the sweeps read every iteration's degree
+    array, which no ``RunReport`` carries."""
     graph = datasets.load(graph_key)
     collector = _FrontierCollector()
     run_vcpm(

@@ -170,6 +170,28 @@ class TestCommands:
         assert main(argv) == 0
         assert list(tmp_path.glob("*.json")), "no cache entry written"
 
+    def test_figure_fig14c_second_run_served_from_cache(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.cli as cli
+
+        services = []
+        make = cli._service_from_args
+
+        def recording(args, **kwargs):
+            services.append(make(args, **kwargs))
+            return services[-1]
+
+        monkeypatch.setattr(cli, "_service_from_args", recording)
+        argv = ["figure", "fig14c", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert services[0].stats.stores == 5  # one envelope per algorithm
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert services[1].stats.misses == 0
+        assert services[1].stats.hits == 5
+
     def test_backends_lists_registered_systems(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out

@@ -182,6 +182,10 @@ GARBAGE = [
     ("name: x\nalgorithms: [BFS, NOPE]", "algorithms.1", 2),
     ("name: x\ngraphs: [QQ]", "graphs.0", 2),
     ("name: x\nbackends: [vax]", "backends.0", 2),
+    # One backend listed twice (names are case-insensitive) would run
+    # two observers under one display name.
+    ("name: x\nbackends: [graphdyns, GraphDynS]", "backends.1", 2),
+    ("name: x\nbackends:\n  - gunrock\n  - dca\n  - Gunrock", "backends.2", 5),
     ("name: x\nalgorithms: 7", "algorithms", 2),
     ("name: x\nshards: many", "shards", 2),
     ("name: x\nshards: 0", "shards", 2),
