@@ -22,10 +22,11 @@ once, however many observers read it):
 * ``plan_exact_prefetch`` / ``plan_baseline_fetch``: O(A), 1-3 access
   patterns;
 * ``grouped_duplicate_count``: O(E) and the largest, since E >> A.  It
-  runs in fixed-size blocks through one scratch array (int32 when the
-  ids fit): ``w(w-1)/2`` column compares per group at Graphicionado's
-  ``w = 8`` (3.5 per flit), an in-place row sort at Gunrock's
-  ``w = 256``;
+  runs in fixed-size blocks through one scratch array, which takes the
+  stream's dtype (a graph's ``int32`` ids need no per-block range check;
+  an ``int64`` stream keeps it): ``w(w-1)/2`` column compares per group
+  at Graphicionado's ``w = 8`` (3.5 per flit), an in-place row sort at
+  Gunrock's ``w = 256``;
 * ``Frontier.dst_loads`` (the crossbar's per-output loads): one O(E)
   ``bincount`` per frontier, then O(V) per width folded.
 

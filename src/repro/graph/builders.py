@@ -90,7 +90,7 @@ def symmetrize(graph: CSRGraph) -> Tuple[CSRGraph, TransformCost]:
 def deduplicate(graph: CSRGraph) -> Tuple[CSRGraph, TransformCost]:
     """Drop duplicate ``(src, dst)`` pairs, keeping the first weight."""
     sources = graph.edge_sources()
-    keys = sources * graph.num_vertices + graph.edges
+    keys = sources.astype(np.int64) * graph.num_vertices + graph.edges
     _, first_index = np.unique(keys, return_index=True)
     first_index.sort()
     pairs = np.stack([sources[first_index], graph.edges[first_index]], axis=1)

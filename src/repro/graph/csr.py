@@ -19,11 +19,50 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph", "GraphError", "radix_argsort", "sorted_unique"]
+__all__ = [
+    "CSRGraph",
+    "GraphError",
+    "index_dtype",
+    "int64_blocks",
+    "radix_argsort",
+    "sorted_unique",
+]
+
+#: Ids and edge positions below this bound fit an ``int32``.
+_INT32_BOUND = 1 << 31
+
+#: Elements per block of :func:`int64_blocks`'s rendering.
+_RENDER_BLOCK = 1 << 20
 
 
 class GraphError(ValueError):
     """Raised when a graph is structurally invalid."""
+
+
+def index_dtype(num_vertices: int, num_edges: int) -> np.dtype:
+    """The width of a graph's ``offsets`` and ``edges``.
+
+    ``int32`` when both counts are below 2**31 -- every vertex id and
+    every edge position then fits, which is the 4-byte vertex id the
+    modelled accelerators stream -- else ``int64``.
+    """
+    if num_vertices < _INT32_BOUND and num_edges < _INT32_BOUND:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
+def int64_blocks(values) -> Iterator[np.ndarray]:
+    """``values`` as little-endian ``int64``, one bounded block at a time.
+
+    The width-independent rendering content hashes read, so a graph
+    hashes the same in either index width.  Each block is at most
+    ``_RENDER_BLOCK`` elements; no copy of the whole array is made.
+    """
+    values = np.asarray(values).ravel()
+    for start in range(0, values.size, _RENDER_BLOCK):
+        yield np.ascontiguousarray(
+            values[start:start + _RENDER_BLOCK], dtype="<i8"
+        )
 
 
 def sorted_unique(values) -> np.ndarray:
@@ -50,14 +89,26 @@ def radix_argsort(keys, bound: int) -> np.ndarray:
     below 2**16 take one pass and keys below 2**32 two, where the stable
     argsort of an int64 array is an O(n log n) comparison sort: 3-4x
     slower on the dataset build path.
+
+    Between passes the order is held as ``int32`` when it fits, which
+    halves the largest temporaries of a multi-pass sort; the result is
+    ``intp``.
     """
     keys = np.asarray(keys)
     order = np.argsort(keys.astype(np.uint16), kind="stable")
     shift = 16
+    if bound > 1 << shift and keys.size < _INT32_BOUND:
+        order = order.astype(np.int32)
     while bound > 1 << shift:
         digit = (keys >> shift).astype(np.uint16)
-        order = order[np.argsort(digit[order], kind="stable")]
+        step = np.argsort(digit[order], kind="stable")
+        del digit
         shift += 16
+        if order.dtype == step.dtype or bound > 1 << shift:
+            order = order[step]
+        else:  # the last pass widens the int32 order into ``step``
+            step[...] = order[step]
+            order = step
     return order
 
 
@@ -66,8 +117,11 @@ class CSRGraph:
     """An immutable directed graph in CSR format.
 
     Attributes:
-        offsets: ``int64`` array of length ``num_vertices + 1``.
-        edges: ``int64`` array of destination ids, length ``num_edges``.
+        offsets: array of length ``num_vertices + 1``.
+        edges: array of destination ids, length ``num_edges``.
+        ``offsets`` and ``edges`` share one integer width,
+        :func:`index_dtype` of the graph's size: ``int32`` unless a count
+        reaches 2**31.
         weights: ``float32`` array of edge weights, length ``num_edges``.
         name: optional human-readable dataset name.
         validate: run the structural validation scan on construction.
@@ -84,8 +138,11 @@ class CSRGraph:
     validate: bool = dataclasses.field(default=True, compare=False)
 
     def __post_init__(self) -> None:
-        offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        edges = np.ascontiguousarray(self.edges, dtype=np.int64)
+        offsets = np.asarray(self.offsets)
+        edges = np.asarray(self.edges)
+        width = index_dtype(max(offsets.size - 1, 0), edges.size)
+        offsets = np.ascontiguousarray(offsets, dtype=width)
+        edges = np.ascontiguousarray(edges, dtype=width)
         weights = np.ascontiguousarray(self.weights, dtype=np.float32)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "edges", edges)
@@ -163,10 +220,11 @@ class CSRGraph:
         This materializes the ``src_vid`` field that Graphicionado stores
         with every edge (and GraphDynS deliberately omits).
         """
+        width = self.edges.dtype
         if self.num_edges == 0:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=width)
         counts = np.diff(self.offsets)
-        return np.repeat(np.arange(self.num_vertices, dtype=np.int64), counts)
+        return np.repeat(np.arange(self.num_vertices, dtype=width), counts)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -208,8 +266,8 @@ class CSRGraph:
         """
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src = np.asarray(src)
+        dst = np.asarray(dst)
         if src.ndim != 1 or src.shape != dst.shape:
             raise GraphError("src and dst must be parallel 1-D arrays")
         if src.size:
@@ -223,14 +281,15 @@ class CSRGraph:
             wts = np.asarray(weights, dtype=np.float32)
             if wts.shape != src.shape:
                 raise GraphError("weights must be parallel to edge_list")
-        # The long-lived arrays are allocated before the sort's
-        # temporaries, which are then freed from above them rather than
-        # leaving edge-sized holes between a graph's arrays.
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        edges = np.empty(src.size, dtype=np.int64)
-        edge_weights = np.empty(src.size, dtype=np.float32)
+        # The arrays are allocated in the graph's index width, the edge
+        # arrays only after the sort: its temporaries (about 16 bytes per
+        # edge) are never alive beside them, only its ``intp`` order.
+        width = index_dtype(num_vertices, src.size)
+        offsets = np.zeros(num_vertices + 1, dtype=width)
         np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
         order = radix_argsort(src, num_vertices)
+        edges = np.empty(src.size, dtype=width)
+        edge_weights = np.empty(src.size, dtype=np.float32)
         # mode="clip" (a no-op: every index is in range) writes straight
         # into ``out``; the default mode gathers into a buffered copy.
         np.take(dst, order, out=edges, mode="clip")
@@ -240,9 +299,10 @@ class CSRGraph:
     @classmethod
     def empty(cls, num_vertices: int = 0, name: str = "empty") -> "CSRGraph":
         """A graph with ``num_vertices`` vertices and no edges."""
+        width = index_dtype(num_vertices, 0)
         return cls(
-            offsets=np.zeros(num_vertices + 1, dtype=np.int64),
-            edges=np.zeros(0, dtype=np.int64),
+            offsets=np.zeros(num_vertices + 1, dtype=width),
+            edges=np.zeros(0, dtype=width),
             weights=np.zeros(0, dtype=np.float32),
             name=name,
         )

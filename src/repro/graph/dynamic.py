@@ -45,7 +45,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph, radix_argsort, sorted_unique
+from .csr import (
+    CSRGraph,
+    index_dtype,
+    int64_blocks,
+    radix_argsort,
+    sorted_unique,
+)
 
 __all__ = [
     "DYNAMIC_SCHEMA_VERSION",
@@ -218,10 +224,13 @@ def _canonical_csr(
     order is arbitrary.  Batches are merged by :func:`_merge_batch`.
     """
     order = _canonical_order(num_vertices, src, dst, weights)
-    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    width = index_dtype(num_vertices, order.size)
+    offsets = np.zeros(num_vertices + 1, dtype=width)
     np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
+    edges = np.empty(order.size, dtype=width)
+    np.take(dst, order, out=edges, mode="clip")
     return CSRGraph(
-        offsets=offsets, edges=dst[order], weights=weights[order], name=name
+        offsets=offsets, edges=edges, weights=weights[order], name=name
     )
 
 
@@ -248,11 +257,18 @@ def _weight_keys(weights: np.ndarray) -> np.ndarray:
 
 
 def _content_fingerprint(graph: CSRGraph) -> str:
-    """sha256 of ``V`` and the CSR arrays, read through the buffer protocol."""
+    """sha256 of ``V`` and the CSR arrays, independent of the index width.
+
+    ``offsets`` and ``edges`` are hashed as little-endian ``int64``, block
+    by block (:func:`~repro.graph.csr.int64_blocks`), so a snapshot hashes
+    alike in ``int32`` and ``int64`` and no edge-length copy is made.
+    """
     h = hashlib.sha256()
     h.update(np.int64(graph.num_vertices).tobytes())
-    for arr in (graph.offsets, graph.edges, graph.weights):
-        h.update(np.ascontiguousarray(arr))
+    for arr in (graph.offsets, graph.edges):
+        for block in int64_blocks(arr):
+            h.update(block)
+    h.update(np.ascontiguousarray(graph.weights, dtype="<f4"))
     return h.hexdigest()[:16]
 
 
@@ -288,11 +304,13 @@ def _run_search(
 def _batch_runs(graph: CSRGraph, pairs, weights) -> Tuple[np.ndarray, ...]:
     """The batch triples in canonical order, and each one's ``(src, dst)`` run.
 
-    Each run ``[lo, hi)`` of equal edges is bisected inside its source's row.
+    Each run ``[lo, hi)`` of equal edges is bisected inside its source's row;
+    the bounds are ``intp`` whatever the snapshot's index width.
     """
     order = _canonical_order(graph.num_vertices, pairs[:, 0], pairs[:, 1], weights)
     pairs, weights = pairs[order], weights[order]
-    row_lo, row_hi = graph.offsets[pairs[:, 0]], graph.offsets[pairs[:, 0] + 1]
+    row_lo = graph.offsets[pairs[:, 0]].astype(np.intp)
+    row_hi = graph.offsets[pairs[:, 0] + 1].astype(np.intp)
     run_lo = _run_search(graph.edges, row_lo, row_hi, pairs[:, 1], "left")
     run_hi = _run_search(graph.edges, run_lo, row_hi, pairs[:, 1], "right")
     return pairs, weights, run_lo, run_hi
@@ -359,13 +377,14 @@ def _merge_batch(graph: CSRGraph, batch: EdgeBatch, name: str) -> CSRGraph:
     if removed.size:
         keep = np.ones(graph.num_edges, dtype=bool)
         keep[removed] = False
-    edges = np.empty(size, dtype=np.int64)
+    width = index_dtype(graph.num_vertices, size)
+    edges = np.empty(size, dtype=width)
     edges[slots] = pairs[:, 1]
     edges[fill] = graph.edges[keep]
     weights = np.empty(size, dtype=np.float32)
     weights[slots] = values
     weights[fill] = graph.weights[keep]
-    offsets = graph.offsets.copy()
+    offsets = graph.offsets.astype(width)
     offsets[1:] += np.cumsum(degree_change)
     # A valid snapshot plus range-checked endpoints (``apply``) is valid:
     # skip the whole-snapshot re-scan.

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, index_dtype
 
 __all__ = [
     "rmat_graph",
@@ -70,35 +70,18 @@ def rmat_graph(
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    d = 1.0 - a - b - c
-    if d < 0:
+    if 1.0 - a - b - c < 0:
         raise ValueError("RMAT probabilities must sum to <= 1")
     rng = np.random.default_rng(seed)
     num_vertices = 1 << scale
     num_edges = num_vertices * edge_factor
-
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    ab = a + b
-    a_norm = a / (a + c) if (a + c) else 0.5
-    for level in range(scale):
-        bit = 1 << (scale - 1 - level)
-        # Add noise per level as in the Graph500 generator.
-        r_row = rng.random(num_edges)
-        r_col = rng.random(num_edges)
-        row_bit = r_row > ab
-        # Column probability depends on which row half was chosen.
-        p_col = np.where(row_bit, c / (c + d) if (c + d) else 0.5, a_norm)
-        col_bit = r_col > p_col
-        src += row_bit * bit
-        dst += col_bit * bit
-
+    width = index_dtype(num_vertices, num_edges)
+    ends = _rmat_quadrant_bits(rng, num_edges, scale, a, b, c, width)
     # Permute vertex ids to remove the locality bias of raw RMAT output.
-    perm = rng.permutation(num_vertices)
-    src, dst = perm[src], perm[dst]
-    weights = rng.integers(0, 256, size=num_edges).astype(np.float32)
+    _relabel(ends, rng.permutation(num_vertices).astype(width))
     return CSRGraph.from_arrays(
-        num_vertices, src, dst, weights, name=name or f"RMAT{scale}"
+        num_vertices, ends[0], ends[1], _draw_weights(rng, num_edges),
+        name=name or f"RMAT{scale}",
     )
 
 
@@ -109,24 +92,38 @@ def _rmat_quadrant_bits(
     a: float,
     b: float,
     c: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw (pre-permutation) RMAT endpoints for ``count`` edges."""
+    width: np.dtype,
+) -> np.ndarray:
+    """Raw (pre-permutation) RMAT ``(src, dst)`` rows for ``count`` edges.
+
+    Each level draws ``count`` row uniforms, then ``count`` column
+    uniforms, with per-level probability noise as in the Graph500
+    generator, and appends one bit to every endpoint (most significant
+    first, by shift-or in place).  Each uniform array dies once its bits
+    are taken, so a level holds one ``float64`` array of ``count`` and
+    the column thresholds at a time.
+    """
     d = 1.0 - a - b - c
-    src = np.zeros(count, dtype=np.int64)
-    dst = np.zeros(count, dtype=np.int64)
+    ends = np.zeros((2, count), dtype=width)
     ab = a + b
     a_norm = a / (a + c) if (a + c) else 0.5
     c_norm = c / (c + d) if (c + d) else 0.5
-    for level in range(scale):
-        bit = 1 << (scale - 1 - level)
-        r_row = rng.random(count)
-        r_col = rng.random(count)
-        row_bit = r_row > ab
-        p_col = np.where(row_bit, c_norm, a_norm)
-        col_bit = r_col > p_col
-        src += row_bit * bit
-        dst += col_bit * bit
-    return src, dst
+    # The column probability depends on which row half was chosen.
+    col_threshold = np.array([a_norm, c_norm])
+    for _ in range(scale):
+        row_bit = rng.random(count) > ab
+        col_bit = rng.random(count) > col_threshold[row_bit.view(np.uint8)]
+        for row, bits in zip(ends, (row_bit, col_bit)):
+            np.left_shift(row, 1, out=row)
+            np.bitwise_or(row, bits, out=row)
+    return ends
+
+
+def _relabel(ends: np.ndarray, perm: np.ndarray) -> None:
+    """``ends[...] = perm[ends]``, in place, ``_DRAW_BLOCK`` edges at a time."""
+    for start in range(0, ends.shape[-1], _DRAW_BLOCK):
+        block = ends[..., start:start + _DRAW_BLOCK]
+        block[...] = perm[block]
 
 
 def rmat_edge_chunks(
@@ -167,16 +164,17 @@ def rmat_edge_chunks(
     num_vertices = 1 << scale
     num_edges = num_vertices * edge_factor
     num_chunks = -(-num_edges // chunk_edges)
+    width = index_dtype(num_vertices, num_edges)
     children = np.random.SeedSequence(seed).spawn(num_chunks + 1)
-    perm = np.random.default_rng(children[0]).permutation(num_vertices)
+    perm = np.random.default_rng(children[0]).permutation(num_vertices).astype(width)
     produced = 0
     for index in range(num_chunks):
         count = min(chunk_edges, num_edges - produced)
         produced += count
         rng = np.random.default_rng(children[index + 1])
-        src, dst = _rmat_quadrant_bits(rng, count, scale, a, b, c)
-        weights = rng.integers(0, 256, size=count).astype(np.float32)
-        yield perm[src], perm[dst], weights
+        ends = _rmat_quadrant_bits(rng, count, scale, a, b, c, width)
+        _relabel(ends, perm)
+        yield ends[0], ends[1], _draw_weights(rng, count)
 
 
 def power_law_graph(
@@ -226,17 +224,29 @@ def power_law_graph(
     # Sources and destinations are drawn into one array and relabelled in
     # place, block by block, so these steps make no edge-sized temporaries.
     cdf, guide = _inverse_cdf(attach)
-    ends = np.empty((2, num_edges), dtype=np.int64)
+    width = index_dtype(num_vertices, num_edges)
+    ends = np.empty((2, num_edges), dtype=width)
     for row in ends:
         _weighted_draw(rng, cdf, guide, out=row)
     # Shuffle ids so vertex id does not correlate with degree (mirrors the
     # arbitrary vertex numbering of crawled graphs).
-    perm = rng.permutation(num_vertices)
-    for start in range(0, num_edges, _DRAW_BLOCK):
-        block = ends[:, start:start + _DRAW_BLOCK]
-        block[...] = perm[block]
-    weights = rng.integers(0, 256, size=num_edges).astype(np.float32)
+    _relabel(ends, rng.permutation(num_vertices).astype(width))
+    weights = _draw_weights(rng, num_edges)
     return CSRGraph.from_arrays(num_vertices, ends[0], ends[1], weights, name=name)
+
+
+def _draw_weights(rng: np.random.Generator, num_edges: int) -> np.ndarray:
+    """``rng.integers(0, 256, num_edges)`` as ``float32``, drawn in blocks.
+
+    Bounded integers are generated one at a time from the bit stream, so
+    blocks of ``_DRAW_BLOCK`` draw the same values, and leave the same
+    generator state, as one call; no edge-length ``int64`` array is made.
+    """
+    weights = np.empty(num_edges, dtype=np.float32)
+    for start in range(0, num_edges, _DRAW_BLOCK):
+        block = weights[start:start + _DRAW_BLOCK]
+        block[...] = rng.integers(0, 256, size=block.size)
+    return weights
 
 
 def _inverse_cdf(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

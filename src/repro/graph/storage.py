@@ -50,7 +50,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph, GraphError, radix_argsort
+from .csr import CSRGraph, GraphError, index_dtype, radix_argsort
 
 __all__ = [
     "STORAGE_FORMAT_VERSION",
@@ -220,9 +220,19 @@ class MmapStorage(GraphStorage):
         # The spill was validated (or assembled) when written; skip the
         # full-array validation scan so opening a paper-scale spill does
         # not page every byte in.
+        offsets = self._map_member("offsets")
+        edges = self._map_member("edges")
+        width = index_dtype(offsets.size - 1, edges.size)
+        if offsets.dtype != width or edges.dtype != width:
+            # Widening or narrowing would copy the mapped arrays into
+            # memory; a spill in another index width is rebuilt instead.
+            raise StorageError(
+                f"spill at {self.directory} holds {edges.dtype} ids, "
+                f"expected {width}"
+            )
         return CSRGraph(
-            offsets=self._map_member("offsets"),
-            edges=self._map_member("edges"),
+            offsets=offsets,
+            edges=edges,
             weights=self._map_member("weights"),
             name=name,
             validate=False,
@@ -438,34 +448,35 @@ def assemble_csr(
     counts = np.zeros(num_vertices + 1, dtype=np.int64)
     num_edges = 0
     for src, dst, _w in chunk_factory():
-        src = np.asarray(src, dtype=np.int64)
+        src = np.asarray(src)
         if src.size and (src.min() < 0 or src.max() >= num_vertices):
             raise GraphError("edge source out of range")
         counts[1:] += np.bincount(src, minlength=num_vertices)
         num_edges += src.size
     offsets = np.cumsum(counts)
 
+    # The members are allocated in the graph's index width, known once
+    # pass 1 has counted the edges.
+    width = index_dtype(num_vertices, num_edges)
     if isinstance(storage, MmapStorage):
         offsets_out = storage.allocate_member(
-            "offsets", (num_vertices + 1,), np.dtype(np.int64)
+            "offsets", (num_vertices + 1,), width
         )
-        edges_out = storage.allocate_member(
-            "edges", (num_edges,), np.dtype(np.int64)
-        )
+        edges_out = storage.allocate_member("edges", (num_edges,), width)
         weights_out = storage.allocate_member(
             "weights", (num_edges,), np.dtype(np.float32)
         )
     else:
-        offsets_out = np.zeros(num_vertices + 1, dtype=np.int64)
-        edges_out = np.zeros(num_edges, dtype=np.int64)
+        offsets_out = np.zeros(num_vertices + 1, dtype=width)
+        edges_out = np.zeros(num_edges, dtype=width)
         weights_out = np.zeros(num_edges, dtype=np.float32)
     offsets_out[:] = offsets
 
     cursor = offsets[:-1].copy()
     placed = 0
     for src, dst, w in chunk_factory():
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src = np.asarray(src)
+        dst = np.asarray(dst)
         w = np.asarray(w, dtype=np.float32)
         if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
             raise GraphError("edge destination out of range")

@@ -271,7 +271,9 @@ class GraphDynSTimingModel:
                 ),
             ]
             if data.num_edges:
-                list_bytes = data.active_degrees * edge_bytes
+                list_bytes = np.multiply(
+                    data.active_degrees, edge_bytes, dtype=np.int64
+                )
                 padded = (
                     -(-list_bytes // _SECTOR_BYTES)
                 ) * _SECTOR_BYTES

@@ -58,6 +58,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
@@ -380,29 +381,65 @@ def _functional_to_dict(result: VCPMResult) -> Dict[str, object]:
     }
 
 
-def _properties_from_dict(data: Dict[str, object]) -> np.ndarray:
-    """The property array of an envelope; ``ValueError`` unless well formed.
+def _check_properties(data: Dict[str, object]) -> None:
+    """Reject a property payload that cannot hold ``count`` ``<f8`` values.
 
-    Anything but ``<f8`` bytes whose decoded length is exactly
-    ``8 * count`` is rejected, so a truncated or stale entry reads as a
-    cache miss instead of serving wrong-sized properties.
+    Anything but ``<f8`` bytes whose base64 text has exactly the length
+    of ``8 * count`` bytes is rejected, so a truncated or stale entry
+    reads as a cache miss instead of serving wrong-sized properties.
     """
     count = data["count"]
     if data["dtype"] != _PROPERTIES_DTYPE or type(count) is not int:
         raise ValueError("unsupported property encoding")
-    raw = base64.b64decode(data["b64"], validate=True)
-    if len(raw) != 8 * count:
+    text = data["b64"]
+    expected = 4 * -(-8 * count // 3)
+    if not isinstance(text, str) or len(text) != expected:
         raise ValueError(
-            f"property payload holds {len(raw)} bytes, expected {8 * count}"
+            f"property payload holds {len(text)} base64 characters, "
+            f"expected {expected}"
         )
+
+
+def _properties_from_dict(data: Dict[str, object]) -> np.ndarray:
+    """The property array of an envelope; ``ValueError`` unless well formed."""
+    _check_properties(data)
+    raw = base64.b64decode(data["b64"], validate=True)
+    if len(raw) != 8 * data["count"]:  # padding that hides missing bytes
+        raise ValueError(f"property payload holds {len(raw)} bytes")
     return np.frombuffer(raw, dtype=_PROPERTIES_DTYPE).astype(np.float64)
 
 
+class _CachedResult(VCPMResult):
+    """A cached cell's :class:`VCPMResult`, properties decoded on first read.
+
+    No report reads a cell's property array, so a warm report does not
+    pay for decoding every envelope's payload.  The payload's shape is
+    checked when the envelope is loaded (:func:`_check_properties`); its
+    bytes are decoded, once, by the first read of :attr:`properties`.
+    """
+
+    def __init__(self, payload: Dict[str, object], **fields: Any) -> None:
+        _check_properties(payload)
+        self._payload = payload
+        super().__init__(properties=None, **fields)
+
+    @property
+    def properties(self) -> np.ndarray:
+        if self._properties is None:
+            self._properties = _properties_from_dict(self._payload)
+            self._payload = None
+        return self._properties
+
+    @properties.setter
+    def properties(self, value: Optional[np.ndarray]) -> None:
+        self._properties = value
+
+
 def _functional_from_dict(data: Dict[str, object]) -> VCPMResult:
-    return VCPMResult(
+    return _CachedResult(
+        data["properties"],
         algorithm=data["algorithm"],
         graph_name=data["graph_name"],
-        properties=_properties_from_dict(data["properties"]),
         iterations=[IterationTrace(**t) for t in data["iterations"]],
         converged=data["converged"],
         source=data["source"],

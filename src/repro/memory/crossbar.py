@@ -41,9 +41,11 @@ def grouped_duplicate_count(dst: np.ndarray, group_width: int) -> int:
 
     Only flits of one group can collide.  The full groups are the rows of
     an ``(n // w, w)`` view, copied ``_BLOCK_FLITS`` at a time into one
-    scratch array.  It is ``int32`` until a block holds an id that does not
-    fit (checked per block, while the block is in cache), ``int64`` from
-    then on.
+    scratch array, which takes the stream's dtype: ``int32`` for a graph's
+    ``int32`` ids, with no range check.  A wider stream is copied into an
+    ``int32`` scratch until a block holds an id that does not fit (checked
+    per block, while the block is in cache), and into ``int64`` from then
+    on.
 
     * ``w <= _COMPARE_MAX_WIDTH``: the block is stored column-major and a
       flit conflicts when it equals an earlier flit of its row, so each
@@ -72,18 +74,17 @@ def grouped_duplicate_count(dst: np.ndarray, group_width: int) -> int:
         count_block = _count_by_sort
         shape = (block_rows, group_width)
     scratch = np.empty(shape, np.int32)
+    checked = not np.can_cast(dst.dtype, np.int32)
     flags = np.empty((2, block_rows * group_width), dtype=bool)
     for start in range(0, rows.shape[0], block_rows):
         block = rows[start : start + block_rows]
-        if scratch.dtype == np.int32 and not _fits_int32(block):
+        if checked and scratch.dtype == np.int32 and not _fits_int32(block):
             scratch = np.empty(shape, np.int64)  # for this and later blocks
         count += count_block(block, scratch, flags)
     return count
 
 
 def _fits_int32(values: np.ndarray) -> bool:
-    if np.can_cast(values.dtype, np.int32):
-        return True
     info = np.iinfo(np.int32)
     return bool(values.min() >= info.min and values.max() <= info.max)
 

@@ -34,6 +34,17 @@ Algorithm 2 streams each active list's edges once.  An observer that
 keeps its own reference to an :class:`IterationData` keeps those arrays
 alive and still reads the same read-only values.
 
+Allocation rule: Scatter gathers and runs ``process_edge`` in
+vertex-aligned blocks, so an iteration's only edge-length arrays are
+the destination stream (the graph's index width), the ``float32``
+weights of a weighted spec and the ``float64`` results; an all-vertex
+frontier's streams are views of the graph.  Apply updates the property
+array in place, and the modified ids die with their iteration.  Nothing
+that outlives an iteration is then allocated from the space its streams
+free, which would pin the top of the heap: glibc returns a freed top
+to the system once it reaches twice the largest freed mmap, and the
+next wide iteration would fault every page back in.
+
 There is one iteration loop; :func:`run_vcpm` and the destination-sharded
 :func:`repro.vcpm.partitioned.run_vcpm_partitioned` differ only in the
 Reduce step they hand it (a :data:`Fold`).
@@ -82,6 +93,14 @@ __all__ = [
 T = TypeVar("T")
 
 
+#: Most edges per block of the Scatter gathers and ``process_edge``
+#: calls.  A block also holds at most an eighth of the graph's edges, so
+#: on a small graph the block temporaries (about 32 bytes per block
+#: edge) stay small beside its edge streams.
+_SCATTER_BLOCK = 1 << 16
+_MIN_SCATTER_BLOCK = 1 << 10
+
+
 def gather_edge_indices(
     offsets: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
@@ -89,18 +108,42 @@ def gather_edge_indices(
 
     Vectorized expansion of ``[range(offsets[u], offsets[u+1]) for u in
     active]`` preserving traversal order, which the timing models rely on.
+    The result is ``intp`` whatever the width of ``offsets``.
     """
     starts = offsets[active]
-    counts = offsets[active + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    # Base index of each run, repeated per element, plus a ramp.
-    run_ends = np.cumsum(counts)
-    run_starts_in_output = run_ends - counts
-    base = np.repeat(starts - run_starts_in_output, counts)
-    base += np.arange(total, dtype=np.int64)
-    return base
+    return _edge_index(starts, offsets[active + 1] - starts)
+
+
+def _edge_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``intp`` concatenation of ``range(s, s + c)`` over ``zip(starts, counts)``."""
+    run_ends = np.cumsum(counts, dtype=np.intp)
+    total = int(run_ends[-1]) if run_ends.size else 0
+    # Each run's base, repeated per element, plus a ramp.
+    index = np.repeat(starts - (run_ends - counts), counts)
+    index += np.arange(total, dtype=np.intp)
+    return index
+
+
+def _edge_blocks(
+    degrees: np.ndarray, block: int
+) -> List[Tuple[int, int, int, int]]:
+    """Vertex-aligned blocks of about ``block`` edges each.
+
+    Block ``(lo, hi, start, stop)`` holds active vertices ``lo:hi`` and
+    their edges ``start:stop`` of the traversal order.  A vertex with
+    more edges than a block has a block of its own.
+    """
+    run_ends = np.cumsum(degrees, dtype=np.intp)
+    total = int(run_ends[-1]) if run_ends.size else 0
+    blocks = []
+    lo = start = 0
+    while start < total:
+        hi = int(np.searchsorted(run_ends, start + block, side="right"))
+        hi = max(hi, lo + 1)
+        stop = int(run_ends[hi - 1])
+        blocks.append((lo, hi, start, stop))
+        lo, start = hi, stop
+    return blocks
 
 
 def _read_only(array) -> np.ndarray:
@@ -373,31 +416,71 @@ def run_vcpm(
 
 def _scatter_inputs(
     graph: CSRGraph, spec: AlgorithmSpec, active: np.ndarray
-) -> Tuple[Frontier, Optional[np.ndarray]]:
-    """The frontier of ``active`` and, for weighted specs, its edge weights.
+) -> Tuple[Frontier, Optional[np.ndarray], List[Tuple[int, int, int, int]]]:
+    """The frontier of ``active``, its edge weights, and its edge blocks.
 
-    The E-length edge index dies when this returns instead of staying
-    alive until the next gather (for PR, the whole run).  Unweighted specs
-    get ``None`` and skip the weight gather; the float64 cast keeps custom
-    ``process_edge`` math in float64.  The caller drops both results at
-    the end of the iteration unless the frontier is kept (the lifetime
-    rule in the module docstring), so the previous iteration's streams
-    are never alive while this one gathers.
+    The destination stream (in the graph's index width) and, for
+    weighted specs, the ``float32`` weight stream are gathered block by
+    block (:func:`_edge_blocks`), so no edge-length index is made.  An
+    all-vertex frontier gathers nothing: its streams are views of the
+    graph's arrays.  Unweighted specs get ``None``.  The caller drops the
+    streams at the end of the iteration unless the frontier is kept (the
+    lifetime rule in the module docstring), so the previous iteration's
+    streams are never alive while this one gathers.
     """
-    edge_idx = gather_edge_indices(graph.offsets, active)
+    starts = graph.offsets[active]
+    degrees = graph.offsets[active + 1] - starts
+    block = min(_SCATTER_BLOCK, max(graph.num_edges >> 3, _MIN_SCATTER_BLOCK))
+    blocks = _edge_blocks(degrees, block)
+    if active.size == graph.num_vertices:
+        # ``active`` is sorted and unique, so this is every vertex in id
+        # order: the streams are the edge arrays themselves.
+        edge_dst = graph.edges
+        edge_w = graph.weights if spec.uses_weights else None
+    else:
+        total = blocks[-1][3] if blocks else 0
+        edge_dst = np.empty(total, dtype=graph.edges.dtype)
+        edge_w = np.empty(total, dtype=np.float32) if spec.uses_weights else None
+        for lo, hi, start, stop in blocks:
+            index = _edge_index(starts[lo:hi], degrees[lo:hi])
+            # mode="clip" (a no-op: every index is in range) writes
+            # straight into ``out``; the default mode buffers a copy.
+            np.take(graph.edges, index, out=edge_dst[start:stop], mode="clip")
+            if edge_w is not None:
+                np.take(graph.weights, index, out=edge_w[start:stop], mode="clip")
     frontier = Frontier(
         active_ids=active,
-        active_degrees=graph.offsets[active + 1] - graph.offsets[active],
-        active_offsets=graph.offsets[active],
-        edge_dst=graph.edges[edge_idx],
+        active_degrees=degrees,
+        active_offsets=starts,
+        edge_dst=edge_dst,
         num_vertices=graph.num_vertices,
     )
-    edge_w = (
-        _read_only(graph.weights[edge_idx].astype(np.float64))
-        if spec.uses_weights
-        else None
-    )
-    return frontier, edge_w
+    return frontier, None if edge_w is None else _read_only(edge_w), blocks
+
+
+def _process_edges(
+    spec: AlgorithmSpec,
+    prop: np.ndarray,
+    frontier: Frontier,
+    edge_w: Optional[np.ndarray],
+    blocks: List[Tuple[int, int, int, int]],
+) -> np.ndarray:
+    """Scatter's ``process_edge`` of every frontier edge, in traversal order.
+
+    ``process_edge`` is applied block by block, so the source-property
+    stream and the ``float64`` weights (the cast keeps custom
+    ``process_edge`` math in float64) are block-sized; only the
+    ``float64`` result stream is edge-length.
+    """
+    results = np.empty(frontier.num_edges, dtype=np.float64)
+    src_prop = prop[frontier.active_ids]
+    degrees = frontier.active_degrees
+    for lo, hi, start, stop in blocks:
+        weights = None if edge_w is None else edge_w[start:stop].astype(np.float64)
+        results[start:stop] = spec.process_edge(
+            np.repeat(src_prop[lo:hi], degrees[lo:hi]), weights
+        )
+    return results
 
 
 def _iterate(
@@ -457,7 +540,8 @@ def _iterate(
         ):
             raise ValueError("initial_active vertex out of range")
     else:
-        prop = spec.initial_prop(num_vertices, source)
+        # A private float64 copy: Apply updates it in place.
+        prop = np.array(spec.initial_prop(num_vertices, source), dtype=np.float64)
     t_prop = spec.initial_tprop(num_vertices)
     if spec.uses_degree_cprop:
         c_prop = graph.out_degree().astype(np.float64)
@@ -481,6 +565,7 @@ def _iterate(
     all_active = spec.all_vertices_active_initially and not continuing
     frontier: Optional[Frontier] = None
     edge_w: Optional[np.ndarray] = None
+    blocks: List[Tuple[int, int, int, int]] = []
 
     traces: List[IterationTrace] = []
     converged = False
@@ -502,13 +587,9 @@ def _iterate(
             # ----------------------- Scatter phase -----------------------
             with rec.span("vcpm.scatter", track="vcpm", **span_attrs):
                 if frontier is None:
-                    frontier, edge_w = _scatter_inputs(graph, spec, active)
+                    frontier, edge_w, blocks = _scatter_inputs(graph, spec, active)
                 num_edges = frontier.num_edges
-                # The E-length source-property stream dies inside
-                # process_edge, before the Reduce step allocates.
-                results = spec.process_edge(
-                    np.repeat(prop[active], frontier.active_degrees), edge_w
-                )
+                results = _process_edges(spec, prop, frontier, edge_w, blocks)
                 t_prop_before = t_prop.copy()
                 fold(frontier, results, t_prop, iteration)
                 del results
@@ -520,8 +601,10 @@ def _iterate(
                 apply_res = spec.apply(prop, t_prop, c_prop)
                 activated_mask = apply_res != prop
                 activated = np.flatnonzero(activated_mask)
-                old_prop = prop
-                prop = np.where(activated_mask, apply_res, prop)
+                if spec.resets_tprop_each_iteration:
+                    old_prop = prop.copy()
+                np.copyto(prop, apply_res, where=activated_mask)
+                del apply_res, activated_mask
 
             data = IterationData(
                 iteration=iteration,
@@ -559,6 +642,7 @@ def _iterate(
                 num_activated=int(activated.size),
             )
         )
+        del modified
 
         if spec.resets_tprop_each_iteration:
             # Accumulating algorithms (PR) restart the fold each iteration

@@ -82,7 +82,9 @@ class AlgorithmSpec:
 
     Attributes:
         name: short name, e.g. ``"BFS"``.
-        process_edge: vectorized ``(u_prop, weight) -> edge result``.
+        process_edge: vectorized ``(u_prop, weight) -> edge result``, one
+            result per edge: ``run_vcpm`` applies it to consecutive blocks
+            of an iteration's edges.
         reduce_op: the fold applied to the destination's temporary property.
         apply: vectorized ``(prop, t_prop, c_prop) -> new prop``.
         initial_prop: ``(num_vertices, source) -> initial property array``.

@@ -458,6 +458,43 @@ def _stored_properties(envelope):
     return np.frombuffer(base64.b64decode(stored["b64"]), dtype=stored["dtype"])
 
 
+class TestLazyCachedProperties:
+    def test_warm_fr_figures_decode_no_properties(self, tmp_path, monkeypatch):
+        from repro.harness import figures, service as service_module
+
+        cache = str(tmp_path / "cache")
+        algorithms = ["BFS", "PR"]
+        cold = RunService(cache_dir=cache)
+        expected = [
+            figure(cold, algorithms=algorithms, graph_keys=["FR"]).rows
+            for figure in (figures.figure6, figures.figure7)
+        ]
+        cold_bytes = [
+            cold.cell(a, "FR").functional.properties.tobytes() for a in algorithms
+        ]
+
+        decoded = []
+        real = service_module._properties_from_dict
+
+        def counted(data):
+            decoded.append(data["count"])
+            return real(data)
+
+        monkeypatch.setattr(service_module, "_properties_from_dict", counted)
+        warm = RunService(cache_dir=cache)
+        rows = [
+            figure(warm, algorithms=algorithms, graph_keys=["FR"]).rows
+            for figure in (figures.figure6, figures.figure7)
+        ]
+        assert rows == expected
+        assert warm.stats.hits and not warm.stats.misses
+        assert decoded == []
+        cells = [warm.cell(a, "FR") for a in algorithms]
+        assert [c.functional.properties.tobytes() for c in cells] == cold_bytes
+        assert [c.functional.properties.tobytes() for c in cells] == cold_bytes
+        assert len(decoded) == len(algorithms)  # once per cell
+
+
 @pytest.fixture(scope="module")
 def warm_entry(tmp_path_factory):
     """One real cached cell: (service, request, path, envelope text)."""

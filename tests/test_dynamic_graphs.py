@@ -155,10 +155,11 @@ def _reference_churn_batches(
 
 
 def _snapshot_bytes(graph):
+    """The snapshot's arrays, ids rendered as int64 whatever their width."""
     return (
-        graph.offsets.tobytes(),
-        np.asarray(graph.edges).tobytes(),
-        np.asarray(graph.weights).tobytes(),
+        np.asarray(graph.offsets, dtype="<i8").tobytes(),
+        np.asarray(graph.edges, dtype="<i8").tobytes(),
+        np.asarray(graph.weights, dtype="<f4").tobytes(),
     )
 
 
@@ -376,6 +377,32 @@ class TestMergeOracle:
             dynamic.apply(batch)
             assert _snapshot_bytes(dynamic.graph) == _snapshot_bytes(expected)
         assert np.signbit(dynamic.graph.weights).tolist() == [False]
+
+
+    def test_int64_batch_on_int32_snapshot_matches_a_fresh_build(self):
+        dynamic = DynamicGraph(datasets.load("FR"), key="HYP-WIDTH")
+        before = dynamic.graph
+        (batch,) = churn_batches(before, 1, 2000, insert_fraction=0.5, seed=11)
+        assert before.edges.dtype == np.int32
+        assert batch.inserts.dtype == batch.deletes.dtype == np.int64
+        src, dst, wts = _reference_remove_multiset(
+            before.edge_sources(), before.edges, before.weights,
+            batch.deletes, batch.delete_weights,
+        )
+        fresh = dyn._canonical_csr(
+            before.num_vertices,
+            np.concatenate([src, batch.inserts[:, 0]]),
+            np.concatenate([dst, batch.inserts[:, 1]]),
+            np.concatenate([wts, batch.insert_weights]),
+            dynamic.key,
+        )
+        dynamic.apply(batch)
+        after = dynamic.graph
+        for name in ("offsets", "edges", "weights"):
+            merged, built = getattr(after, name), getattr(fresh, name)
+            assert merged.dtype == built.dtype
+            assert merged.tobytes() == built.tobytes()
+        assert after.offsets.dtype == np.int32
 
 
 class TestMergeAtScale:

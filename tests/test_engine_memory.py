@@ -3,8 +3,9 @@
 numpy reports every array buffer to ``tracemalloc``, so a cell's traced
 peak counts live arrays, not heap layout.  Keeping the previous
 iteration's gathers and Scatter results alive while the next iteration
-gathers read 51 bytes per edge on SSSP x FR; one iteration's streams
-read about 33 (``benchmarks/bench_cell_memory.py`` has every cell).
+gathers read 51 bytes per edge on SSSP x FR; one iteration's ``int64``
+streams read about 33, and its ``int32`` blocked streams about 20
+(``benchmarks/bench_cell_memory.py`` has every cell).
 """
 
 import gc

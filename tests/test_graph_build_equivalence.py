@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, GraphError, datasets, dynamic, generators, storage
 from repro.graph import power_law_graph
-from repro.graph.csr import radix_argsort
+from repro.graph.csr import int64_blocks, radix_argsort
 
 #: sha256 over ``offsets || edges || weights`` of every registry graph,
 #: recorded before the build path moved to the radix sort and the
-#: guide-table draw.
+#: guide-table draw, with the ids rendered as little-endian int64.
 PINNED_DIGESTS = {
     "FR": "6d94da77b17058117d6ff43585bcc653ae70efd74db3ca585c1804b98ad5f1ed",
     "PK": "25dc7d0a6092f0f300ac997f71f24b4ff4a8a22fa51fea0155df0087615ed0cf",
@@ -51,9 +51,12 @@ PINNED_FINGERPRINTS = {
 
 
 def _content_digest(graph: CSRGraph) -> str:
+    """The digest of the pins: ids as int64 whatever the graph's width."""
     h = hashlib.sha256()
-    for arr in (graph.offsets, graph.edges, graph.weights):
-        h.update(np.ascontiguousarray(arr))
+    for arr in (graph.offsets, graph.edges):
+        for block in int64_blocks(arr):
+            h.update(block)
+    h.update(np.ascontiguousarray(graph.weights, dtype="<f4"))
     return h.hexdigest()
 
 

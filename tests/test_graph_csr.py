@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, GraphError
-from repro.graph.csr import sorted_unique
+from repro.graph.csr import index_dtype, int64_blocks, sorted_unique
 
 
 class TestConstruction:
@@ -58,13 +58,52 @@ class TestConstruction:
 
     def test_offsets_dtype_normalized(self):
         g = CSRGraph(
-            offsets=np.array([0, 1], dtype=np.int32),
-            edges=np.array([0], dtype=np.int32),
+            offsets=np.array([0, 1], dtype=np.int64),
+            edges=np.array([0], dtype=np.int64),
             weights=np.array([1.0], dtype=np.float64),
         )
-        assert g.offsets.dtype == np.int64
-        assert g.edges.dtype == np.int64
+        assert g.offsets.dtype == np.int32
+        assert g.edges.dtype == np.int32
         assert g.weights.dtype == np.float32
+
+
+class TestIndexWidth:
+    LIMIT = 2**31
+
+    @pytest.mark.parametrize(
+        "num_vertices, num_edges, expected",
+        [
+            (0, 0, np.int32),
+            (LIMIT - 1, LIMIT - 1, np.int32),
+            (LIMIT, 0, np.int64),
+            (0, LIMIT, np.int64),
+            (LIMIT, LIMIT - 1, np.int64),
+            (LIMIT - 1, LIMIT, np.int64),
+        ],
+    )
+    def test_index_dtype_at_the_int32_bound(self, num_vertices, num_edges, expected):
+        assert index_dtype(num_vertices, num_edges) == np.dtype(expected)
+
+    def test_every_constructor_builds_in_the_index_width(self):
+        built = CSRGraph.from_arrays(
+            3,
+            np.array([2, 0, 1], dtype=np.int64),
+            np.array([0, 2, 2], dtype=np.int64),
+        )
+        for graph in (built, CSRGraph.empty(4), CSRGraph.from_edge_list(2, [])):
+            assert graph.offsets.dtype == np.int32
+            assert graph.edges.dtype == np.int32
+            assert graph.edge_sources().dtype == np.int32
+        np.testing.assert_array_equal(built.edge_sources(), [0, 1, 2])
+        np.testing.assert_array_equal(built.edges, [2, 2, 0])
+
+    def test_int64_rendering_is_width_independent(self):
+        values = np.array([0, 5, 2**31 - 1], dtype=np.int32)
+        narrow = b"".join(block.tobytes() for block in int64_blocks(values))
+        wide = b"".join(
+            block.tobytes() for block in int64_blocks(values.astype(np.int64))
+        )
+        assert narrow == wide == values.astype("<i8").tobytes()
 
 
 class TestValidation:

@@ -132,6 +132,22 @@ class TestMmapStorage:
             with pytest.raises(StorageError):
                 reader.load()
 
+    def test_spill_keeps_the_index_width_and_rejects_another(
+        self, tiny_graph, tmp_path
+    ):
+        spill = str(tmp_path / "spill")
+        with MmapStorage(directory=spill) as writer:
+            mapped = writer.adopt(tiny_graph)
+            assert mapped.offsets.dtype == mapped.edges.dtype == np.int32
+        # A spill written with int64 ids is rebuilt, not copied into
+        # memory at the new width.
+        for member in ("offsets", "edges"):
+            path = os.path.join(spill, f"{member}.npy")
+            np.save(path, np.load(path).astype(np.int64))
+        with MmapStorage(directory=spill) as reader:
+            with pytest.raises(StorageError, match="int64"):
+                reader.load()
+
     def test_load_rejects_empty_directory(self, tmp_path):
         with MmapStorage(directory=str(tmp_path / "empty")) as storage:
             with pytest.raises(StorageError):

@@ -156,6 +156,24 @@ class TestGroupedDuplicates:
         assert grouped_duplicate_count(dst, width) == _naive_count(dst, width)
 
     @pytest.mark.parametrize("width", [8, 256])
+    def test_int32_stream_skips_the_range_check(self, width, monkeypatch):
+        # A graph's int32 ids fit the int32 scratch by their dtype; an
+        # int64 stream keeps the per-block check.
+        calls = []
+        real = crossbar._fits_int32
+
+        def counted(values):
+            calls.append(values.dtype)
+            return real(values)
+
+        monkeypatch.setattr(crossbar, "_fits_int32", counted)
+        dst = np.random.default_rng(width).integers(0, 3 * width, size=200_000)
+        narrow = grouped_duplicate_count(dst.astype(np.int32), width)
+        assert calls == []
+        assert grouped_duplicate_count(dst, width) == narrow
+        assert calls and set(calls) == {np.dtype(np.int64)}
+
+    @pytest.mark.parametrize("width", [8, 256])
     def test_matches_reference_on_zipf_stream(self, width):
         # A power-law destination stream, the irregularity AO targets.
         dst = np.random.default_rng(width).zipf(1.3, size=1_000_000) % 50_000

@@ -11,6 +11,7 @@ from repro.graph import CSRGraph, datasets
 from repro.graphdyns.config import DEFAULT_CONFIG
 from repro.graphdyns.timing import GraphDynSTimingModel
 from repro.memory import crossbar
+from repro.vcpm import engine
 from repro.vcpm import (
     ALGORITHMS,
     EXTENSION_ALGORITHMS,
@@ -51,6 +52,48 @@ class TestGatherEdgeIndices:
         # Active order (4, then 0) must be reflected in the index stream.
         idx = gather_edge_indices(tiny_graph.offsets, np.array([4, 0]))
         assert idx.tolist() == [7, 8, 0, 1, 2]
+
+
+class TestScatterBlocks:
+    def test_blocks_tile_the_stream_at_vertex_boundaries(self):
+        degrees = np.array([3, 0, 20, 1, 1, 0, 6, 2], dtype=np.int32)
+        blocks = engine._edge_blocks(degrees, 5)
+        ends = np.cumsum(degrees)
+        assert blocks[0][0] == blocks[0][2] == 0
+        for (lo, hi, start, stop), following in zip(blocks, blocks[1:] + [None]):
+            assert start == (ends[lo - 1] if lo else 0) and stop == ends[hi - 1]
+            # A block is over ``block`` edges only when one vertex is.
+            assert stop - start <= 5 or hi - lo == 1
+            if following is not None:
+                assert following[0] == hi and following[2] == stop
+        assert blocks[-1][3] == degrees.sum()
+        assert engine._edge_blocks(np.zeros(4, dtype=np.int32), 5) == []
+
+    @pytest.mark.parametrize("name", ["BFS", "SSSP", "CC", "PR"])
+    def test_block_size_changes_no_stream_or_result(self, monkeypatch, name):
+        # A hub with more edges than a block, and frontiers that span
+        # several blocks, against one block per frontier.
+        rng = np.random.default_rng(5)
+        pairs = [(0, v) for v in range(1, 60)]
+        pairs += [tuple(e) for e in rng.integers(0, 80, size=(400, 2))]
+        graph = CSRGraph.from_edge_list(
+            80, pairs, rng.integers(1, 9, size=len(pairs)), name="hub"
+        )
+
+        def run():
+            streams = []
+
+            class Recorder:
+                def on_iteration(self, data):
+                    streams.append(data.edge_dst.tobytes())
+
+            result = run_vcpm(graph, ALGORITHMS[name], source=0, observers=[Recorder()])
+            return result.properties.tobytes(), streams
+
+        whole = run()
+        monkeypatch.setattr(engine, "_SCATTER_BLOCK", 7)
+        monkeypatch.setattr(engine, "_MIN_SCATTER_BLOCK", 7)
+        assert run() == whole
 
 
 class TestCorrectness:
